@@ -12,13 +12,7 @@ moment diagnostics, `criteria` provides the theoretical rate predictions
 and boundary classification, and `cli` wires it all to config files.
 """
 
-from .brownian import (
-    BrownianLattice,
-    coarsen,
-    derive_seed,
-    node_values,
-    sample_lattice,
-)
+from .brownian import derive_seed
 from .criteria import (
     AutonomousModel,
     CriterionReport,
@@ -46,7 +40,6 @@ from .models import (
     CoefficientMeta,
     PrototypeParams,
     SdeModel,
-    TimeGrid,
     eval_diffusion,
     make_prototype,
 )
@@ -54,7 +47,6 @@ from .montecarlo import (
     ComparisonReport,
     ConvergenceReport,
     ExperimentConfig,
-    MomentCondition,
     MomentEstimate,
     TimeChangeReport,
     comparison_check,
@@ -63,13 +55,6 @@ from .montecarlo import (
     timechange_check,
 )
 from .params import AffineParam, ConstantParam, SinusoidalParam, as_param
-from .schemes import (
-    EulerTrajectory,
-    ReferenceTrajectory,
-    euler_interpolate,
-    euler_path,
-    reference_path,
-)
 from .validation import ValidationReport, validate_assumptions
 
 __version__ = "0.1.0"
@@ -77,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineParam",
     "AutonomousModel",
-    "BrownianLattice",
     "CoefficientFn",
     "CoefficientMeta",
     "ComparisonReport",
@@ -85,44 +69,34 @@ __all__ = [
     "ConstantParam",
     "ConvergenceReport",
     "CriterionReport",
-    "EulerTrajectory",
     "ExperimentConfig",
     "FellerResult",
     "HypothesisError",
     "InvalidCoefficientError",
-    "MomentCondition",
     "MomentEstimate",
     "PowerSdeError",
     "PrototypeParams",
     "RatePrediction",
-    "ReferenceTrajectory",
     "SdeModel",
     "SimulationAbort",
     "SinusoidalParam",
     "TimeChange",
     "TimeChangeReport",
-    "TimeGrid",
     "ValidationReport",
     "as_param",
     "autonomous_from_prototype",
     "build_timechange",
-    "coarsen",
     "comparison_check",
     "concave_power_gap",
     "derive_seed",
     "estimate_inverse_moment",
     "estimate_strong_error",
     "eval_diffusion",
-    "euler_interpolate",
-    "euler_path",
     "feller_test",
     "ito_criterion",
     "make_prototype",
-    "node_values",
     "power_gap_bound",
     "predict_rate",
-    "reference_path",
-    "sample_lattice",
     "theorem_rate",
     "time_changed_model",
     "timechange_check",

@@ -17,30 +17,18 @@ of workers, with bit-identical results.
 Summation order
 ---------------
 Coarsening halves adjacent pairs, so a level-l increment is a fixed binary
-tree over the finest increments it spans.  Node values W(t_k), by contrast,
-are always the left-to-right prefix sums of the finest increments, sampled at
-the requested grid; that single fixed order makes shared nodes agree between
-levels bit-exactly.
+tree over the finest increments it spans, the same for every batch layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from hashlib import sha256
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = [
-    "BrownianLattice",
-    "sample_lattice",
-    "sample_increment_batch",
-    "coarsen",
-    "coarsen_increments",
-    "node_values",
-    "derive_seed",
-]
+__all__ = ["sample_increment_batch", "coarsen_increments", "derive_seed"]
 
 MAX_LEVEL = 26  # 2^26 doubles is ~512 MiB per path; refuse beyond this
 _MASK64 = (1 << 64) - 1
@@ -54,22 +42,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     """
     digest = sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class BrownianLattice:
-    """Increments of one Brownian path at its finest dyadic level."""
-
-    horizon: float
-    level: int
-    increments: np.ndarray
-    path_index: int
-    master_seed: int
-
-    def __post_init__(self):
-        if len(self.increments) != 1 << self.level:
-            raise ValueError("increment count does not match 2^level")
-        self.increments.setflags(write=False)
 
 
 def sample_increment_batch(
@@ -100,24 +72,6 @@ def sample_increment_batch(
     return ndtri(u) * np.sqrt(horizon / n)
 
 
-def sample_lattice(
-    master_seed: int,
-    path_index: int,
-    level: int,
-    horizon: float,
-    max_level: int = MAX_LEVEL,
-) -> BrownianLattice:
-    """Generate one path's lattice at the finest level."""
-    inc = sample_increment_batch(master_seed, path_index, 1, level, horizon, max_level)[0]
-    return BrownianLattice(
-        horizon=float(horizon),
-        level=level,
-        increments=inc,
-        path_index=path_index,
-        master_seed=master_seed,
-    )
-
-
 def coarsen_increments(increments: np.ndarray, n_halvings: int) -> np.ndarray:
     """Sum adjacent pairs n_halvings times along the last axis."""
     if n_halvings < 0:
@@ -126,28 +80,3 @@ def coarsen_increments(increments: np.ndarray, n_halvings: int) -> np.ndarray:
     for _ in range(n_halvings):
         out = out.reshape(*out.shape[:-1], -1, 2).sum(axis=-1)
     return out
-
-
-def coarsen(lattice: BrownianLattice, level: int) -> np.ndarray:
-    """Increments of the lattice's path at the given coarser level."""
-    if level > lattice.level:
-        raise ValueError(f"level {level} finer than the lattice's {lattice.level}")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return coarsen_increments(lattice.increments, lattice.level - level)
-
-
-def node_values(lattice: BrownianLattice, level: int) -> np.ndarray:
-    """W(t_k) at the 2^level + 1 nodes of the given level, W(0) = 0.
-
-    Computed from the finest prefix sums and subsampled, so shared nodes
-    agree across levels bit-exactly.
-    """
-    if level > lattice.level:
-        raise ValueError(f"level {level} finer than the lattice's {lattice.level}")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    fine = np.empty(len(lattice.increments) + 1)
-    fine[0] = 0.0
-    np.cumsum(lattice.increments, out=fine[1:])
-    return fine[:: 1 << (lattice.level - level)].copy()

@@ -253,6 +253,7 @@ def cmd_timechange(cfg: RunConfig, args) -> int:
         derive_seed(cfg.seed, "timechange"),
         significance=cfg.significance,
         batch_size=cfg.batch_size,
+        on_explosion=cfg.on_explosion,
         workers=workers,
     )
     verdict = "pass" if report.passed else "fail"
@@ -298,6 +299,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             seed,
             tolerance=cfg.tolerance,
             batch_size=cfg.batch_size,
+            on_explosion=cfg.on_explosion,
             workers=workers,
         )
         rows.append(rep)

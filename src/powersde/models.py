@@ -26,7 +26,6 @@ from .errors import InvalidCoefficientError
 from .params import as_param
 
 __all__ = [
-    "TimeGrid",
     "CoefficientMeta",
     "CoefficientFn",
     "SdeModel",
@@ -34,51 +33,6 @@ __all__ = [
     "make_prototype",
     "eval_diffusion",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Equidistant dyadic grid t_k = k T / 2^level on [0, T]."""
-
-    horizon: float
-    level: int
-
-    def __post_init__(self):
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
-        if self.level < 0 or int(self.level) != self.level:
-            raise ValueError("level must be a nonnegative integer")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.level
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.n
-
-    def node(self, k: int) -> float:
-        if not 0 <= k <= self.n:
-            raise ValueError(f"node index {k} outside 0..{self.n}")
-        return k * self.dt
-
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.dt
-
-    def floor_index(self, t: float) -> int:
-        """Index k with t_k = max{nodes <= t}."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        pos = t * self.n / self.horizon
-        k = int(math.floor(pos))
-        # k * dt re-divided can round a hair below k; snap to the node
-        if pos - k > 1.0 - 1e-9:
-            k += 1
-        return min(k, self.n)
-
-    def eta(self, t: float) -> float:
-        """The last grid node at or before t."""
-        return self.node(self.floor_index(t))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,20 @@ pathwise comparison and clock-change distribution checks.
 
 Determinism contract
 --------------------
-Work is split into fixed-size path batches; batch i always covers the same
-path indices, every batch is a pure function of (seed, batch index), and
-partial accumulators are merged in batch-index order.  Results are therefore
-byte-identical for any worker count, including the serial fallback.  The
-batched kernel is the only kernel, so there is no separate single-path code
-path to drift out of agreement.
+Every estimator is a per-batch kernel run by one engine, _map_paths.  Work is
+split into fixed-size path batches; batch i always covers the same path
+indices, every batch is a pure function of (seed, batch index), and the
+kernels' partial sums are merged in batch-index order.  Results are therefore
+byte-identical for any worker count, including the serial fallback.  A
+different batch size regroups the partial sums, which moves results by
+rounding only.
+
+Explosion policy
+----------------
+A path that goes non-finite at any of the grids a kernel runs is left out of
+every partial sum.  The engine counts such paths for all four estimators:
+on_explosion="abort" raises SimulationAbort if there is any, "drop" reports
+how many were dropped, and a run with no surviving path always aborts.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -25,13 +34,12 @@ from scipy.special import ndtri
 from .brownian import MAX_LEVEL, coarsen_increments, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, SimulationAbort
-from .models import PrototypeParams, SdeModel, TimeGrid, make_prototype
+from .models import PrototypeParams, SdeModel, make_prototype
 from .schemes import euler_batch
 
 __all__ = [
     "ExperimentConfig",
     "ConvergenceReport",
-    "MomentCondition",
     "MomentEstimate",
     "ComparisonReport",
     "TimeChangeReport",
@@ -74,8 +82,38 @@ def _run_batches(task, n_batches: int, workers: Optional[int]):
         _WORKER_TASK = None
 
 
-def _batch_ranges(paths: int, batch_size: int):
-    return [(i * batch_size, min((i + 1) * batch_size, paths)) for i in range((paths + batch_size - 1) // batch_size)]
+def _add_partials(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _map_paths(kernel, paths, batch_size, workers, on_explosion, merge=_add_partials):
+    """Run kernel over fixed path batches and merge its partials in batch order.
+
+    kernel(first_path, n_paths) simulates one batch and returns
+    (partial, n_bad): partial is a tuple of sums over the batch's surviving
+    paths, reduced inside the worker, and n_bad counts the paths that went
+    non-finite.  Partials are folded left to right in batch-index order with
+    merge (slotwise addition by default).  Returns (total, dropped).
+    """
+    if on_explosion not in ("abort", "drop"):
+        raise ValueError("on_explosion must be 'abort' or 'drop'")
+    ranges = [(p0, min(p0 + batch_size, paths)) for p0 in range(0, paths, batch_size)]
+
+    def task(i):
+        p0, p1 = ranges[i]
+        return kernel(p0, p1 - p0)
+
+    partials = _run_batches(task, len(ranges), workers)
+    dropped = sum(n_bad for _, n_bad in partials)
+    if dropped and on_explosion == "abort":
+        raise SimulationAbort(
+            f"{dropped} of {paths} paths produced non-finite values; "
+            "aborting (set the explosion policy to 'drop' to discard them)",
+            n_flagged=dropped,
+        )
+    if dropped == paths:
+        raise SimulationAbort("every path exploded", n_flagged=dropped)
+    return reduce(merge, (partial for partial, _ in partials)), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +137,6 @@ class ExperimentConfig:
     master_seed: int
     batch_size: int = DEFAULT_BATCH
     on_explosion: str = "abort"
-    error_metric: str = "sup-node-l1"
 
     def __post_init__(self):
         levels = tuple(sorted(set(int(l) for l in self.levels)))
@@ -123,8 +160,6 @@ class ExperimentConfig:
             raise ValueError("horizon must be positive")
         if self.on_explosion not in ("abort", "drop"):
             raise ValueError("on_explosion must be 'abort' or 'drop'")
-        if self.error_metric != "sup-node-l1":
-            raise ValueError("the only supported error metric is 'sup-node-l1'")
 
 
 @dataclass(frozen=True)
@@ -195,53 +230,28 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     levels = config.levels
     lmax = max(levels)
     ref_stride = 1 << (config.ref_level - lmax)
-    seed = config.master_seed
-    bs = config.batch_size
-    ranges = _batch_ranges(config.paths, bs)
 
-    def task(i):
-        p0, p1 = ranges[i]
-        b = p1 - p0
-        fine = sample_increment_batch(seed, p0, b, config.ref_level, T)
+    def kernel(p0, b):
+        fine = sample_increment_batch(config.master_seed, p0, b, config.ref_level, T)
         ref_kept, ref_bad = euler_batch(model, fine, T, keep_stride=ref_stride)
-        bad_mask = ref_bad >= 0
-        sums = {}
+        bad = ref_bad >= 0
+        diffs = []
         for level in levels:
-            inc = coarsen_increments(fine, config.ref_level - level)
-            xs, lev_bad = euler_batch(model, inc, T)
-            bad_mask = bad_mask | (lev_bad >= 0)
-            ref_at = ref_kept[:, :: 1 << (lmax - level)]
-            diff = np.abs(ref_at - xs)
-            sums[level] = diff
-        good = ~bad_mask
-        out = {}
-        for level in levels:
-            diff = sums[level][good]
-            out[level] = (diff.sum(axis=0), (diff * diff).sum(axis=0))
-        return out, int(bad_mask.sum()), p0
+            xs, lev_bad = euler_batch(model, coarsen_increments(fine, config.ref_level - level), T)
+            bad |= lev_bad >= 0
+            diffs.append(np.abs(ref_kept[:, :: 1 << (lmax - level)] - xs))
+        sums = []
+        for diff in diffs:
+            diff = diff[~bad]
+            sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
+        return tuple(sums), int(bad.sum())
 
-    partials = _run_batches(task, len(ranges), workers)
-
-    dropped = sum(p[1] for p in partials)
-    if dropped and config.on_explosion == "abort":
-        raise SimulationAbort(
-            f"{dropped} of {config.paths} paths produced non-finite values; "
-            "aborting (set the explosion policy to 'drop' to discard them)",
-            n_flagged=dropped,
-        )
+    sums, dropped = _map_paths(kernel, config.paths, config.batch_size, workers, config.on_explosion)
     m_eff = config.paths - dropped
-    if m_eff < 1:
-        raise SimulationAbort("every path exploded", n_flagged=dropped)
 
     errors, stderrs, argmaxes = [], [], []
-    for level in levels:
-        n_nodes = (1 << level) + 1
-        s1 = np.zeros(n_nodes)
-        s2 = np.zeros(n_nodes)
-        for out, _, _ in partials:
-            a, b = out[level]
-            s1 += a
-            s2 += b
+    for i in range(len(levels)):
+        s1, s2 = sums[2 * i], sums[2 * i + 1]
         mean = s1 / m_eff
         k = int(np.argmax(mean))
         e = float(mean[k])
@@ -267,36 +277,6 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
 
 # ---------------------------------------------------------------------------
 # inverse-moment diagnostic
-
-
-@dataclass(frozen=True)
-class MomentCondition:
-    """Compensation exponent s and slack epsilon, with the induced integrand
-    exponent q = 2 (gamma + s - 1) <= 0.
-
-    beta_doc records the proof-side exponent 1 - (s + eps/2)/(1 - gamma);
-    it is documentation, not a runtime quantity.
-    """
-
-    s_exponent: float
-    gamma: float
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.5 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [1/2, 1), got {self.gamma}")
-        if not 0.0 <= self.s_exponent <= 1.0 - self.gamma:
-            raise ValueError(f"s must lie in [0, {1.0 - self.gamma}], got {self.s_exponent}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def q(self) -> float:
-        return 2.0 * (self.gamma + self.s_exponent - 1.0)
-
-    @property
-    def beta_doc(self) -> float:
-        return 1.0 - (self.s_exponent + 0.5 * self.epsilon) / (1.0 - self.gamma)
 
 
 @dataclass(frozen=True)
@@ -374,52 +354,34 @@ def estimate_inverse_moment(
             divergence_flag=False,
         )
 
-    ranges = _batch_ranges(paths, batch_size)
-
-    def task(i):
-        p0, p1 = ranges[i]
-        b = p1 - p0
+    def kernel(p0, b):
         fine = sample_increment_batch(seed, p0, b, ref_level, horizon)
-        out = {}
-        bad_mask = np.zeros(b, dtype=bool)
+        bad = np.zeros(b, dtype=bool)
+        per_level = []
         for level, level_cap in zip(ref_levels, caps):
-            inc = coarsen_increments(fine, ref_level - level)
             n = 1 << level
             dt = horizon / n
-            kept, bad = euler_batch(model, inc, horizon)
-            bad_mask = bad_mask | (bad >= 0)
-            xs = kept[:, :-1]
+            kept, lev_bad = euler_batch(model, coarsen_increments(fine, ref_level - level), horizon)
+            bad |= lev_bad >= 0
             t_row = np.arange(n) * dt
-            sig = np.maximum(np.asarray(model.base_sigma(t_row, xs), dtype=float), 0.0)
+            sig = np.maximum(np.asarray(model.base_sigma(t_row, kept[:, :-1]), dtype=float), 0.0)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 integrand = sig**q
             over = ~(integrand <= level_cap)
-            integrand = np.where(over, level_cap, integrand)
-            per_path = integrand.sum(axis=1) * dt
-            out[level] = (per_path, int(over.sum()))
-        return out, bad_mask, p0
+            per_path = np.where(over, level_cap, integrand).sum(axis=1) * dt
+            per_level.append((per_path, int(over.sum())))
+        sums = []
+        for per_path, n_over in per_level:
+            good = per_path[~bad]
+            sums += [float(good.sum()), float((good * good).sum()), n_over]
+        return tuple(sums), int(bad.sum())
 
-    partials = _run_batches(task, len(ranges), workers)
-
-    dropped = sum(int(p[1].sum()) for p in partials)
-    if dropped and on_explosion == "abort":
-        raise SimulationAbort(
-            f"{dropped} of {paths} paths produced non-finite values",
-            n_flagged=dropped,
-        )
+    sums, dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion)
+    m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
-    for level in ref_levels:
-        s1 = s2 = 0.0
-        h = 0
-        m_eff = 0
-        for out, bad_mask, _ in partials:
-            per_path, n_over = out[level]
-            good = per_path[~bad_mask]
-            s1 += float(good.sum())
-            s2 += float((good * good).sum())
-            h += n_over
-            m_eff += len(good)
+    for i in range(len(ref_levels)):
+        s1, s2, h = sums[3 * i : 3 * i + 3]
         mean = s1 / m_eff
         var = max(s2 / m_eff - mean * mean, 0.0)
         estimates.append(mean)
@@ -447,15 +409,22 @@ def estimate_inverse_moment(
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Order violations of a drift-ordered pair at one level.
+
+    dropped paths went non-finite under either model and are left out of
+    n_violating, max_violation and violation_fraction.
+    """
+
     level: int
     paths: int
+    dropped: int
     tolerance: float
     n_violating: int
     max_violation: float
 
     @property
     def violation_fraction(self) -> float:
-        return self.n_violating / self.paths
+        return self.n_violating / (self.paths - self.dropped)
 
 
 def _sampled_close(f, g, horizon, x_range, n=1000, seed=0, tol=1e-10):
@@ -476,6 +445,7 @@ def comparison_check(
     seed: int,
     tolerance: float = 1e-3,
     batch_size: int = DEFAULT_BATCH,
+    on_explosion: str = "abort",
     workers: Optional[int] = None,
 ) -> ComparisonReport:
     """Drive two drift-ordered models with identical noise and count order
@@ -502,26 +472,24 @@ def comparison_check(
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 
-    ranges = _batch_ranges(paths, batch_size)
-
-    def task(i):
-        p0, p1 = ranges[i]
-        b = p1 - p0
+    def kernel(p0, b):
         inc = sample_increment_batch(seed, p0, b, level, horizon)
         lo_kept, lo_bad = euler_batch(model_lo, inc, horizon)
         hi_kept, hi_bad = euler_batch(model_hi, inc, horizon)
-        gap = hi_kept - lo_kept
-        worst = np.nanmin(gap, axis=1)
+        good = (lo_bad < 0) & (hi_bad < 0)
+        worst = (hi_kept - lo_kept)[good].min(axis=1)
         violating = int((worst < -tolerance).sum())
-        max_violation = float(max(0.0, -np.nanmin(worst)))
-        return violating, max_violation, int(((lo_bad >= 0) | (hi_bad >= 0)).sum())
+        max_violation = max(0.0, -float(worst.min(initial=np.inf)))
+        return (violating, max_violation), b - int(good.sum())
 
-    partials = _run_batches(task, len(ranges), workers)
-    n_violating = sum(p[0] for p in partials)
-    max_violation = max(p[1] for p in partials)
+    def merge(a, b):
+        return a[0] + b[0], max(a[1], b[1])
+
+    (n_violating, max_violation), dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion, merge)
     return ComparisonReport(
         level=level,
         paths=paths,
+        dropped=dropped,
         tolerance=tolerance,
         n_violating=n_violating,
         max_violation=max_violation,
@@ -551,33 +519,19 @@ class TimeChangeReport:
     z_var: float
     threshold: float
     passed: bool
+    dropped: int
 
 
-def _endpoint_moments(model, horizon, level, paths, seed, batch_size, workers):
-    n = 1 << level
-    ranges = _batch_ranges(paths, batch_size)
-
-    def task(i):
-        p0, p1 = ranges[i]
-        b = p1 - p0
+def _endpoint_moments(model, horizon, level, paths, seed, batch_size, workers, on_explosion):
+    def kernel(p0, b):
         inc = sample_increment_batch(seed, p0, b, level, horizon)
-        kept, bad = euler_batch(model, inc, horizon, keep_stride=n)
-        xt = kept[:, -1]
-        good = xt[bad < 0]
-        return (
-            len(good),
-            float(good.sum()),
-            float((good**2).sum()),
-            float((good**3).sum()),
-            float((good**4).sum()),
-        )
+        kept, bad = euler_batch(model, inc, horizon, keep_stride=1 << level)
+        good = kept[bad < 0, -1]
+        powers = (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
+        return powers, b - len(good)
 
-    partials = _run_batches(task, len(ranges), workers)
-    m = sum(p[0] for p in partials)
-    s1 = sum(p[1] for p in partials)
-    s2 = sum(p[2] for p in partials)
-    s3 = sum(p[3] for p in partials)
-    s4 = sum(p[4] for p in partials)
+    (s1, s2, s3, s4), dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion)
+    m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2
     # central fourth moment from raw power sums
@@ -592,6 +546,7 @@ def timechange_check(
     seed: int,
     significance: float = Z_SIGNIFICANCE,
     batch_size: int = DEFAULT_BATCH,
+    on_explosion: str = "abort",
     workers: Optional[int] = None,
 ) -> TimeChangeReport:
     """Simulate the prototype and its clock-changed version independently and
@@ -599,7 +554,8 @@ def timechange_check(
 
     The original runs on [0, T] and the changed model on [0, Theta(T)], both
     at the given dyadic level; the runs use unrelated noise streams, so the
-    two samples are independent and plain two-sample z-tests apply.
+    two samples are independent and plain two-sample z-tests apply.  dropped
+    counts the paths of both samples that went non-finite.
     """
     from .brownian import derive_seed
 
@@ -608,10 +564,10 @@ def timechange_check(
     changed = time_changed_model(params, tc)
 
     m_x, mean_x, var_x, m4_x = _endpoint_moments(
-        model, params.horizon, level, paths, derive_seed(seed, "original"), batch_size, workers
+        model, params.horizon, level, paths, derive_seed(seed, "original"), batch_size, workers, on_explosion
     )
     m_y, mean_y, var_y, m4_y = _endpoint_moments(
-        changed, tc.horizon_image, level, paths, derive_seed(seed, "changed"), batch_size, workers
+        changed, tc.horizon_image, level, paths, derive_seed(seed, "changed"), batch_size, workers, on_explosion
     )
 
     se_mean = math.sqrt(var_x / m_x + var_y / m_y)
@@ -632,4 +588,5 @@ def timechange_check(
         z_var=z_var,
         threshold=threshold,
         passed=passed,
+        dropped=2 * paths - m_x - m_y,
     )

@@ -5,9 +5,8 @@ The recursion, for a model dX = a dt + sigma^gamma dW on a level-l grid, is
     x_{k+1} = x_k + a(t_k, x_k) dt + max(sigma(t_k, x_k), 0)^gamma dW_k
 
 evaluated exactly as written, left to right, one fused numpy expression per
-step.  All trajectories, including the reference, are produced by the same
-batched kernel; a single path is a batch of size one, so batching never
-changes results.
+step.  Every trajectory, including the reference, is one row of the batched
+kernel euler_batch; rows never interact, so batching never changes results.
 
 The reference solution is the same scheme run at the lattice's finest level.
 It is a proxy for the exact solution whose own error is of the order under
@@ -17,60 +16,12 @@ studied level and the reference level (enforced in the estimator layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .brownian import BrownianLattice, coarsen, node_values
-from .models import SdeModel, TimeGrid
+from .errors import InvalidCoefficientError
+from .models import SdeModel
 
-__all__ = [
-    "EulerTrajectory",
-    "ReferenceTrajectory",
-    "euler_batch",
-    "euler_path",
-    "reference_path",
-    "euler_interpolate",
-]
-
-
-@dataclass(frozen=True)
-class EulerTrajectory:
-    """Euler values x_k on one grid for one path.
-
-    explosion_index is the first node whose update produced a non-finite
-    value, or None; values at and beyond that node are NaN.  The model is
-    kept on the trajectory so interpolation can re-evaluate coefficients.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    model: SdeModel
-    path_index: int
-    explosion_index: Optional[int] = None
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.n + 1:
-            raise ValueError("value count does not match grid")
-        self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """Fine-grid Euler trajectory standing in for the exact solution."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    model: SdeModel
-    path_index: int
-    explosion_index: Optional[int] = None
-    solver_tag: str = "euler-fine"
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.n + 1:
-            raise ValueError("value count does not match grid")
-        self.values.setflags(write=False)
+__all__ = ["euler_batch"]
 
 
 def euler_batch(
@@ -86,7 +37,9 @@ def euler_batch(
     2^L_ref values per path.  Returns (kept, first_bad): kept has shape
     (B, N // keep_stride + 1); first_bad[i] is the first node index at which
     path i went non-finite, or -1.  Frozen paths keep NaN in later kept slots
-    while the rest of the batch continues.
+    while the rest of the batch continues.  A non-finite sigma(t_k, x_k) on a
+    live path is a bad coefficient, not an explosion, and raises
+    InvalidCoefficientError.
     """
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
     n_paths, n_steps = increments.shape
@@ -107,72 +60,24 @@ def euler_batch(
         for k in range(n_steps):
             t = k * dt
             a = drift(t, x)
-            c = np.maximum(sigma(t, x), 0.0) ** gamma
-            x = x + a * dt + c * increments[:, k]
-            finite = np.isfinite(x)
+            sig = sigma(t, x)
+            c = np.maximum(sig, 0.0) ** gamma
+            x_next = x + a * dt + c * increments[:, k]
+            finite = np.isfinite(x_next)
             if not finite.all():
+                bad_sig = alive & ~np.isfinite(sig)
+                if bad_sig.any():
+                    x_bad = float(x[np.argmax(bad_sig)])
+                    raise InvalidCoefficientError(
+                        f"base sigma returned a non-finite value at (t={t}, x={x_bad})", t=t, x=x_bad
+                    )
                 newly = alive & ~finite
                 if newly.any():
                     first_bad[newly] = k + 1
                     alive &= finite
-                x = np.where(finite, x, 0.0)
+                x_next = np.where(finite, x_next, 0.0)
+            x = x_next
             if (k + 1) % keep_stride == 0:
                 kept[:, j] = np.where(alive, x, np.nan)
                 j += 1
     return kept, first_bad
-
-
-def euler_path(model: SdeModel, lattice: BrownianLattice, level: int) -> EulerTrajectory:
-    """Euler trajectory at the given level, driven by the lattice's path."""
-    inc = coarsen(lattice, level)
-    kept, first_bad = euler_batch(model, inc[None, :], lattice.horizon)
-    bad = int(first_bad[0])
-    return EulerTrajectory(
-        grid=TimeGrid(lattice.horizon, level),
-        values=kept[0],
-        model=model,
-        path_index=lattice.path_index,
-        explosion_index=None if bad < 0 else bad,
-    )
-
-
-def reference_path(model: SdeModel, lattice: BrownianLattice) -> ReferenceTrajectory:
-    """The scheme at the lattice's finest level, used as the truth proxy."""
-    kept, first_bad = euler_batch(model, lattice.increments[None, :], lattice.horizon)
-    bad = int(first_bad[0])
-    return ReferenceTrajectory(
-        grid=TimeGrid(lattice.horizon, lattice.level),
-        values=kept[0],
-        model=model,
-        path_index=lattice.path_index,
-        explosion_index=None if bad < 0 else bad,
-    )
-
-
-def euler_interpolate(traj: EulerTrajectory, lattice: BrownianLattice, t: float) -> float:
-    """Continuous-time Euler value at t, coefficients frozen at the last node.
-
-        xbar_t = x_k + a(t_k, x_k) (t - t_k) + c(t_k, x_k) (W_t - W_{t_k})
-
-    with t_k the last trajectory node at or before t.  t must land on the
-    lattice's finest grid, where the Brownian value W_t is defined; at the
-    trajectory's own nodes this reduces to the stored value exactly.
-    """
-    T = traj.grid.horizon
-    if not 0.0 <= t <= T:
-        raise ValueError(f"time {t} outside [0, {T}]")
-    n_fine = 1 << lattice.level
-    pos = t * n_fine / T
-    j = int(round(pos))
-    if abs(pos - j) > 1e-9:
-        raise ValueError(f"time {t} is not a node of the lattice's finest grid")
-    k = traj.grid.floor_index(t)
-    t_k = traj.grid.node(k)
-    x_k = float(traj.values[k])
-    model = traj.model
-    a = float(model.drift(t_k, x_k))
-    c = float(np.maximum(model.base_sigma(t_k, x_k), 0.0) ** model.gamma)
-    w = node_values(lattice, lattice.level)
-    stride = 1 << (lattice.level - traj.grid.level)
-    dw = float(w[j] - w[k * stride])
-    return x_k + a * (t - t_k) + c * dw

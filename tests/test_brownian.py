@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from powersde.brownian import (
-    MAX_LEVEL,
-    coarsen,
-    coarsen_increments,
-    derive_seed,
-    node_values,
-    sample_increment_batch,
-    sample_lattice,
-)
+from powersde.brownian import MAX_LEVEL, coarsen_increments, derive_seed, sample_increment_batch
+from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
+from powersde.schemes import euler_batch
+
+
+def _path(seed, path, level, horizon):
+    return sample_increment_batch(seed, path, 1, level, horizon)[0]
 
 
 def test_derive_seed_is_stable_and_64bit():
@@ -29,43 +27,38 @@ def test_batch_rows_match_individual_sampling():
         np.testing.assert_array_equal(batch[i], single)
 
 
-def test_lattice_shape_and_freeze():
-    lat = sample_lattice(3, 0, 8, 2.0)
-    assert lat.increments.shape == (256,)
-    assert lat.horizon == 2.0
-    with pytest.raises(ValueError):
-        lat.increments[0] = 0.0
+def test_lattice_shape():
+    assert sample_increment_batch(3, 0, 1, 8, 2.0).shape == (1, 256)
+    assert sample_increment_batch(3, 5, 3, 8, 2.0).shape == (3, 256)
 
 
 def test_increments_look_gaussian():
-    lat = sample_lattice(123, 0, 13, 1.0)
-    z = lat.increments * np.sqrt(1 << 13)
+    z = _path(123, 0, 13, 1.0) * np.sqrt(1 << 13)
     _, pvalue = stats.kstest(z, "norm")
     assert pvalue > 1e-4
     assert abs(z.mean()) < 5.0 / np.sqrt(len(z))
 
 
 def test_adjacent_increments_uncorrelated():
-    lat = sample_lattice(7, 0, 14, 1.0)
-    a = lat.increments[:-1]
-    b = lat.increments[1:]
+    inc = _path(7, 0, 14, 1.0)
+    a = inc[:-1]
+    b = inc[1:]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.03
 
 
 def test_distinct_paths_differ():
-    a = sample_lattice(1, 0, 6, 1.0).increments
-    b = sample_lattice(1, 1, 6, 1.0).increments
+    a = _path(1, 0, 6, 1.0)
+    b = _path(1, 1, 6, 1.0)
     assert not np.array_equal(a, b)
 
 
 def test_coarsen_is_exact_pairwise_sum():
-    lat = sample_lattice(11, 0, 5, 1.0)
-    coarse = coarsen(lat, 4)
-    manual = lat.increments.reshape(-1, 2).sum(axis=-1)
+    inc = _path(11, 0, 5, 1.0)
+    coarse = coarsen_increments(inc, 1)
+    manual = inc.reshape(-1, 2).sum(axis=-1)
     np.testing.assert_array_equal(coarse, manual)
-    assert coarsen(lat, 5) is not None
-    np.testing.assert_array_equal(coarsen(lat, 5), lat.increments)
+    np.testing.assert_array_equal(coarsen_increments(inc, 0), inc)
 
 
 def test_coarsen_increments_batched():
@@ -74,39 +67,44 @@ def test_coarsen_increments_batched():
     np.testing.assert_array_equal(out, [[1.0, 5.0], [9.0, 13.0]])
 
 
+def _brownian_nodes(increments, keep_stride=1):
+    """W(t_k) as the reference run of dX = dW from 0, kept every keep_stride
+    fine steps: the left-to-right prefix sums of the finest increments."""
+    zero = CoefficientFn(lambda t, x: 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
+    unit = CoefficientFn(lambda t, x: 1.0 + 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
+    model = SdeModel(drift=zero, base_sigma=unit, gamma=0.5, x0=0.0)
+    return euler_batch(model, increments[None, :], 1.0, keep_stride=keep_stride)[0][0]
+
+
 def test_shared_nodes_agree_bit_exactly_across_levels():
-    """W(t_k) at a coarse node equals the fine-grid value at the same time."""
-    lat = sample_lattice(21, 3, 10, 1.0)
-    fine = node_values(lat, 10)
+    """W(t_k) at a coarse node, read off the strided reference run as the
+    estimators do, equals the fine-grid value at the same time."""
+    inc = _path(21, 3, 10, 1.0)
+    fine = _brownian_nodes(inc)
     for level in (4, 7, 9):
-        coarse = node_values(lat, level)
+        coarse = _brownian_nodes(inc, keep_stride=1 << (10 - level))
         np.testing.assert_array_equal(coarse, fine[:: 1 << (10 - level)])
 
 
 def test_node_values_start_at_zero_and_end_at_total():
-    lat = sample_lattice(2, 0, 9, 1.0)
-    w = node_values(lat, 9)
+    inc = _path(2, 0, 9, 1.0)
+    w = _brownian_nodes(inc)
     assert w[0] == 0.0
     # same left-to-right summation order as np.cumsum: bit-exact
-    assert w[-1] == np.cumsum(lat.increments)[-1]
+    assert w[-1] == np.cumsum(inc)[-1]
 
 
 def test_variance_scales_with_level():
-    lat = sample_lattice(17, 0, 12, 1.0)
-    v_fine = lat.increments.var() * (1 << 12)
-    v_coarse = coarsen(lat, 6).var() * (1 << 6)
+    inc = _path(17, 0, 12, 1.0)
+    v_fine = inc.var() * (1 << 12)
+    v_coarse = coarsen_increments(inc, 6).var() * (1 << 6)
     assert v_fine == pytest.approx(1.0, rel=0.1)
     assert v_coarse == pytest.approx(1.0, rel=0.4)
 
 
 def test_level_guards():
-    lat = sample_lattice(1, 0, 4, 1.0)
     with pytest.raises(ValueError):
-        coarsen(lat, 5)
-    with pytest.raises(ValueError):
-        coarsen(lat, -1)
-    with pytest.raises(ValueError):
-        node_values(lat, 6)
+        coarsen_increments(_path(1, 0, 4, 1.0), -1)
     with pytest.raises(ValueError):
         sample_increment_batch(1, 0, 1, MAX_LEVEL + 1, 1.0)
     with pytest.raises(ValueError):

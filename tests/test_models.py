@@ -9,46 +9,10 @@ from powersde.models import (
     CoefficientMeta,
     PrototypeParams,
     SdeModel,
-    TimeGrid,
     eval_diffusion,
     make_prototype,
 )
 from powersde.params import AffineParam, SinusoidalParam
-
-
-class TestTimeGrid:
-    def test_basic_layout(self):
-        g = TimeGrid(1.0, 3)
-        assert g.n == 8
-        assert g.dt == pytest.approx(0.125)
-        np.testing.assert_allclose(g.nodes(), np.arange(9) * 0.125)
-        assert g.node(8) == pytest.approx(1.0)
-
-    def test_eta_is_identity_on_nodes(self):
-        g = TimeGrid(1.0, 5)
-        for k in range(g.n + 1):
-            assert g.eta(g.node(k)) == g.node(k)
-
-    def test_eta_floors_interior_times(self):
-        g = TimeGrid(2.0, 2)  # dt = 0.5
-        assert g.eta(0.7) == pytest.approx(0.5)
-        assert g.eta(0.49) == pytest.approx(0.0)
-        assert g.eta(2.0) == pytest.approx(2.0)
-
-    def test_nondyadic_horizon_nodes_floor_to_themselves(self):
-        # horizons like Theta(T) = 1.125 produce nodes with rounding dust
-        g = TimeGrid(1.125, 7)
-        for k in range(g.n + 1):
-            assert g.floor_index(g.node(k)) == k
-
-    def test_out_of_range_raises(self):
-        g = TimeGrid(1.0, 2)
-        with pytest.raises(ValueError):
-            g.eta(-0.1)
-        with pytest.raises(ValueError):
-            g.eta(1.1)
-        with pytest.raises(ValueError):
-            g.node(5)
 
 
 class TestPrototypes:

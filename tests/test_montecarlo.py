@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from powersde.models import CoefficientFn, CoefficientMeta, PrototypeParams, Sde
 from powersde.montecarlo import (
     ComparisonReport,
     ExperimentConfig,
-    MomentCondition,
+    _endpoint_moments,
     comparison_check,
     estimate_inverse_moment,
     estimate_strong_error,
@@ -64,7 +66,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("paths", 0), ("batch_size", 0), ("horizon", 0.0), ("on_explosion", "ignore"), ("error_metric", "L2")],
+        [("paths", 0), ("batch_size", 0), ("horizon", 0.0), ("on_explosion", "ignore")],
     )
     def test_invalid_fields(self, cir_model, field, value):
         kw = dict(
@@ -135,6 +137,11 @@ def barrier_model():
     )
 
 
+def infinite_drift_model():
+    inf = CoefficientFn(lambda t, x: np.inf + 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
+    return SdeModel(drift=inf, base_sigma=_const(1.0), gamma=0.5, x0=0.0)
+
+
 class TestExplosionPolicy:
     def test_abort_raises_with_count(self):
         cfg = small_config(barrier_model(), levels=(4,), ref_level=8, paths=128)
@@ -150,20 +157,25 @@ class TestExplosionPolicy:
         assert 0 < r.dropped < 128
         assert np.isfinite(r.errors).all()
 
+    def test_comparison_aborts_on_exploded_paths(self):
+        # exploded gaps were NaN and nanmin counted them as non-violating
+        with pytest.raises(SimulationAbort) as exc_info:
+            comparison_check(barrier_model(), barrier_model(), 1.0, 6, 128, 3)
+        assert exc_info.value.n_flagged > 0
 
-class TestMomentCondition:
-    def test_q_formula(self):
-        c = MomentCondition(s_exponent=0.25, gamma=0.5)
-        assert c.q == pytest.approx(-0.5)
-        assert 0.0 < c.beta_doc < 1.0
+    def test_comparison_drop_reports_dropped_paths(self):
+        rep = comparison_check(barrier_model(), barrier_model(), 1.0, 6, 128, 3, on_explosion="drop")
+        assert 0 < rep.dropped < 128
+        assert rep.n_violating == 0
+        assert rep.violation_fraction == 0.0
 
-    def test_q_zero_at_no_compensation(self):
-        assert MomentCondition(s_exponent=0.5, gamma=0.5).q == 0.0
+    def test_inverse_moment_with_no_survivors_aborts(self):
+        with pytest.raises(SimulationAbort, match="every path exploded"):
+            estimate_inverse_moment(infinite_drift_model(), -0.5, 1.0, 4, 16, 0, on_explosion="drop")
 
-    @pytest.mark.parametrize("s,gamma", [(0.6, 0.5), (-0.1, 0.5), (0.3, 0.75)])
-    def test_invalid_combinations(self, s, gamma):
-        with pytest.raises(ValueError):
-            MomentCondition(s_exponent=s, gamma=gamma)
+    def test_endpoint_moments_with_no_survivors_aborts(self):
+        with pytest.raises(SimulationAbort, match="every path exploded"):
+            _endpoint_moments(infinite_drift_model(), 1.0, 4, 16, 0, 8, 1, "drop")
 
 
 class TestInverseMoment:
@@ -230,8 +242,10 @@ class TestComparison:
             comparison_check(cir_model, lo, 1.0, 6, 16, 0)
 
     def test_fraction_property(self):
-        rep = ComparisonReport(level=5, paths=200, tolerance=1e-3, n_violating=3, max_violation=0.01)
+        rep = ComparisonReport(level=5, paths=200, dropped=0, tolerance=1e-3, n_violating=3, max_violation=0.01)
         assert rep.violation_fraction == pytest.approx(0.015)
+        rep = dataclasses.replace(rep, dropped=50)
+        assert rep.violation_fraction == pytest.approx(0.02)
 
 
 class TestTimeChangeCheck:
@@ -241,6 +255,7 @@ class TestTimeChangeCheck:
         assert rep.horizon_image == pytest.approx(1.0)
         assert abs(rep.z_mean) <= rep.threshold
         assert abs(rep.z_var) <= rep.threshold
+        assert rep.dropped == 0
 
     def test_threshold_matches_significance(self, cir_params):
         rep = timechange_check(cir_params, 6, 500, 9, significance=0.05)
@@ -262,3 +277,22 @@ class TestWrightFisherContainment:
         assert np.all(bad < 0)
         assert kept.min() > -0.5
         assert kept.max() < 1.5
+
+
+def _run_estimator(name, model, params, workers):
+    if name == "strong_error":
+        return estimate_strong_error(small_config(model), workers=workers)
+    if name == "inverse_moment":
+        return estimate_inverse_moment(model, -1.0, 1.0, 9, 128, 5, batch_size=32, workers=workers)
+    if name == "comparison":
+        lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
+        return comparison_check(lo, model, 1.0, 7, 256, 3, tolerance=1e-6, batch_size=64, workers=workers)
+    return timechange_check(params, 6, 400, 9, batch_size=64, workers=workers)
+
+
+@pytest.mark.parametrize("name", ["strong_error", "inverse_moment", "comparison", "timechange"])
+def test_reports_are_identical_for_any_worker_count(cir_model, cir_params, name):
+    one = _run_estimator(name, cir_model, cir_params, 1)
+    three = _run_estimator(name, cir_model, cir_params, 3)
+    for field in dataclasses.fields(one):
+        np.testing.assert_array_equal(getattr(one, field.name), getattr(three, field.name), err_msg=field.name)

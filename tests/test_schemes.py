@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from powersde.brownian import coarsen, node_values, sample_lattice
+from powersde.brownian import sample_increment_batch
+from powersde.errors import InvalidCoefficientError
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
-from powersde.schemes import (
-    euler_batch,
-    euler_interpolate,
-    euler_path,
-    reference_path,
-)
+from powersde.schemes import euler_batch
 
 
 def _const(v):
@@ -34,41 +30,40 @@ def ode_model(x0=1.0):
 
 
 def test_two_step_hand_computation(cir_model):
-    lat = sample_lattice(4, 0, 1, 1.0)
-    dw = lat.increments
-    traj = euler_path(cir_model, lat, 1)
+    dw = sample_increment_batch(4, 0, 1, 1, 1.0)[0]
+    values = euler_batch(cir_model, dw, 1.0)[0][0]
     dt = 0.5
     x0 = 1.0
     x1 = x0 + 1.0 * (1.0 - x0) * dt + np.sqrt(max(x0, 0.0)) * dw[0]
     x2 = x1 + 1.0 * (1.0 - x1) * dt + np.sqrt(max(x1, 0.0)) * dw[1]
-    assert traj.values[0] == x0
-    assert traj.values[1] == pytest.approx(x1, rel=1e-12)
-    assert traj.values[2] == pytest.approx(x2, rel=1e-12)
+    assert values[0] == x0
+    assert values[1] == pytest.approx(x1, rel=1e-12)
+    assert values[2] == pytest.approx(x2, rel=1e-12)
 
 
 def test_additive_noise_reproduces_brownian_path():
     """With a=0 and c=1 the scheme is x0 + W(t_k) up to summation rounding."""
     m = additive_model(x0=0.5)
-    lat = sample_lattice(8, 0, 10, 1.0)
-    traj = reference_path(m, lat)
-    w = node_values(lat, 10)
-    assert np.max(np.abs(traj.values - (0.5 + w))) <= 1e-12
+    inc = sample_increment_batch(8, 0, 1, 10, 1.0)
+    values = euler_batch(m, inc, 1.0)[0][0]
+    w = np.concatenate([[0.0], np.cumsum(inc[0])])
+    assert np.max(np.abs(values - (0.5 + w))) <= 1e-12
 
 
 def test_deterministic_ode_recursion():
     m = ode_model(x0=1.0)
-    lat = sample_lattice(0, 0, 6, 1.0)
-    traj = euler_path(m, lat, 6)
+    inc = sample_increment_batch(0, 0, 1, 6, 1.0)
+    values = euler_batch(m, inc, 1.0)[0][0]
     dt = 1.0 / 64
     expected = (1.0 - dt) ** np.arange(65)
-    np.testing.assert_allclose(traj.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(values, expected, rtol=1e-12)
 
 
 def test_keep_stride_matches_full_run():
     m = additive_model()
-    lat = sample_lattice(13, 2, 8, 1.0)
-    full, _ = euler_batch(m, lat.increments[None, :], 1.0, keep_stride=1)
-    strided, _ = euler_batch(m, lat.increments[None, :], 1.0, keep_stride=4)
+    inc = sample_increment_batch(13, 2, 1, 8, 1.0)
+    full, _ = euler_batch(m, inc, 1.0, keep_stride=1)
+    strided, _ = euler_batch(m, inc, 1.0, keep_stride=4)
     np.testing.assert_array_equal(strided[0], full[0, ::4])
 
 
@@ -78,20 +73,10 @@ def test_keep_stride_must_divide_steps():
         euler_batch(m, np.zeros((1, 8)), 1.0, keep_stride=3)
 
 
-def test_batch_of_one_equals_single_path(cir_model):
-    """The batched kernel is the only kernel; a path is a batch of one."""
-    lat = sample_lattice(99, 5, 7, 1.0)
-    traj = euler_path(cir_model, lat, 5)
-    kept, _ = euler_batch(cir_model, coarsen(lat, 5)[None, :], 1.0)
-    np.testing.assert_array_equal(traj.values, kept[0])
-
-
 def test_batch_rows_are_independent_of_neighbors(cir_model):
-    lat_a = sample_lattice(31, 0, 6, 1.0)
-    lat_b = sample_lattice(31, 1, 6, 1.0)
-    both = np.stack([lat_a.increments, lat_b.increments])
+    both = sample_increment_batch(31, 0, 2, 6, 1.0)
     kept, _ = euler_batch(cir_model, both, 1.0)
-    solo_a, _ = euler_batch(cir_model, lat_a.increments[None, :], 1.0)
+    solo_a, _ = euler_batch(cir_model, both[:1], 1.0)
     np.testing.assert_array_equal(kept[0], solo_a[0])
 
 
@@ -111,43 +96,27 @@ def test_explosion_freezes_one_path_and_spares_others():
 def test_explosion_index_surfaces_on_trajectory():
     cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 5, CoefficientMeta())
     m = SdeModel(drift=cube, base_sigma=_const(0.0), gamma=0.5, x0=1e80)
-    lat = sample_lattice(1, 0, 4, 1.0)
-    traj = euler_path(m, lat, 4)
-    assert traj.explosion_index is not None
-    assert np.isnan(traj.values[-1])
+    kept, first_bad = euler_batch(m, sample_increment_batch(1, 0, 1, 4, 1.0), 1.0)
+    assert first_bad[0] >= 0
+    assert np.isnan(kept[0, -1])
 
 
 def test_cir_paths_stay_finite(cir_model):
-    lat = sample_lattice(77, 0, 10, 1.0)
-    traj = reference_path(cir_model, lat)
-    assert np.isfinite(traj.values).all()
-    assert traj.explosion_index is None
-    assert traj.solver_tag == "euler-fine"
+    kept, first_bad = euler_batch(cir_model, sample_increment_batch(77, 0, 1, 10, 1.0), 1.0)
+    assert np.isfinite(kept).all()
+    assert first_bad[0] == -1
 
 
-class TestInterpolation:
-    def test_reduces_to_stored_values_at_nodes(self, cir_model):
-        lat = sample_lattice(5, 0, 8, 1.0)
-        traj = euler_path(cir_model, lat, 4)
-        for k in range(traj.grid.n + 1):
-            t = traj.grid.node(k)
-            assert euler_interpolate(traj, lat, t) == traj.values[k]
+def test_nonfinite_sigma_is_a_bad_coefficient_not_an_explosion():
+    """A NaN sigma at a finite state raises, as eval_diffusion does, instead
+    of freezing the path as exploded."""
 
-    def test_matches_hand_formula_between_nodes(self, cir_model):
-        lat = sample_lattice(5, 0, 8, 1.0)
-        traj = euler_path(cir_model, lat, 4)
-        t = 3.0 / 256  # between node 0 and node 1 of the level-4 grid
-        w = node_values(lat, 8)
-        x0 = traj.values[0]
-        a = cir_model.drift(0.0, x0)
-        c = np.sqrt(max(x0, 0.0))
-        expected = x0 + a * t + c * w[3]
-        assert euler_interpolate(traj, lat, t) == pytest.approx(expected, rel=1e-14)
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, np.nan, 1.0)
 
-    def test_rejects_times_off_the_fine_grid(self, cir_model):
-        lat = sample_lattice(5, 0, 8, 1.0)
-        traj = euler_path(cir_model, lat, 4)
-        with pytest.raises(ValueError):
-            euler_interpolate(traj, lat, 0.35)
-        with pytest.raises(ValueError):
-            euler_interpolate(traj, lat, 1.5)
+    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.0)
+    with pytest.raises(InvalidCoefficientError) as exc_info:
+        euler_batch(m, np.zeros((2, 8)), 1.0)
+    assert exc_info.value.t == pytest.approx(1.0 / 8)
+    assert exc_info.value.x == pytest.approx(-1.0 / 8)
