@@ -18,6 +18,10 @@ Summation order
 ---------------
 Coarsening halves adjacent pairs, so a level-l increment is a fixed binary
 tree over the finest increments it spans, the same for every batch layout.
+The estimators coarsen each batch rung by rung: the finest increments are
+halved to the finest level they study, and each coarser level is halved from
+the level just above it.  Halving is exact pairwise addition, so the rung a
+level is reached from never changes its bits.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ def sample_increment_batch(
     """Finest-level increments for paths first_path .. first_path+n_paths-1.
 
     Returns an (n_paths, 2^level) array.  Row i depends only on
-    (master_seed, first_path + i), never on the batch layout.
+    (master_seed, first_path + i), never on the batch layout.  The uniforms
+    are mapped to increments in place, so the output is the only
+    batch-sized allocation.
     """
     if level > max_level:
         raise ValueError(f"level {level} exceeds the memory guard {max_level}")
@@ -69,7 +75,9 @@ def sample_increment_batch(
     for i in range(n_paths):
         raw = Philox(key=[key0, (first_path + i) & _MASK64]).random_raw(n)
         u[i] = (np.right_shift(raw, 11) + 0.5) * (2.0**-53)
-    return ndtri(u) * np.sqrt(horizon / n)
+    ndtri(u, out=u)
+    u *= np.sqrt(horizon / n)
+    return u
 
 
 def coarsen_increments(increments: np.ndarray, n_halvings: int) -> np.ndarray:
@@ -78,5 +86,5 @@ def coarsen_increments(increments: np.ndarray, n_halvings: int) -> np.ndarray:
         raise ValueError("cannot refine, only coarsen")
     out = increments
     for _ in range(n_halvings):
-        out = out.reshape(*out.shape[:-1], -1, 2).sum(axis=-1)
+        out = out[..., ::2] + out[..., 1::2]
     return out

@@ -223,7 +223,9 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     Every path is simulated once at the reference level and once per studied
     level, all from one Brownian lattice, so differences are pathwise.  The
     reference trajectory is streamed: only its values on the finest studied
-    grid are kept.
+    grid are kept.  Each batch's lattice is sampled once and walked down a
+    halving ladder, finest studied level first, each level coarsened from
+    the one above it; only the current rung is held.
     """
     model = config.model
     T = config.horizon
@@ -232,14 +234,17 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     ref_stride = 1 << (config.ref_level - lmax)
 
     def kernel(p0, b):
-        fine = sample_increment_batch(config.master_seed, p0, b, config.ref_level, T)
-        ref_kept, ref_bad = euler_batch(model, fine, T, keep_stride=ref_stride)
+        inc = sample_increment_batch(config.master_seed, p0, b, config.ref_level, T)
+        ref_kept, ref_bad = euler_batch(model, inc, T, keep_stride=ref_stride)
         bad = ref_bad >= 0
-        diffs = []
-        for level in levels:
-            xs, lev_bad = euler_batch(model, coarsen_increments(fine, config.ref_level - level), T)
+        diffs = [None] * len(levels)
+        above = config.ref_level
+        for i in reversed(range(len(levels))):
+            inc = coarsen_increments(inc, above - levels[i])
+            above = levels[i]
+            xs, lev_bad = euler_batch(model, inc, T)
             bad |= lev_bad >= 0
-            diffs.append(np.abs(ref_kept[:, :: 1 << (lmax - level)] - xs))
+            diffs[i] = np.abs(ref_kept[:, :: 1 << (lmax - levels[i])] - xs)
         sums = []
         for diff in diffs:
             diff = diff[~bad]
@@ -325,8 +330,9 @@ def estimate_inverse_moment(
     the infinite values where sigma = 0) contribute the cap and are counted.
     cap=None couples the cap to resolution as 1/dt; a fixed numeric cap
     applies unchanged at every level.  The same lattices are re-run at the
-    two next-coarser reference levels, and the divergence flag fires when
-    the three estimates grow monotonically by more than growth_factor.
+    two next-coarser reference levels, each halved from the level above it,
+    and the divergence flag fires when the three estimates grow
+    monotonically by more than growth_factor.
     """
     if q > 0.0:
         raise ValueError("q must be nonpositive")
@@ -355,13 +361,16 @@ def estimate_inverse_moment(
         )
 
     def kernel(p0, b):
-        fine = sample_increment_batch(seed, p0, b, ref_level, horizon)
+        inc = sample_increment_batch(seed, p0, b, ref_level, horizon)
         bad = np.zeros(b, dtype=bool)
-        per_level = []
-        for level, level_cap in zip(ref_levels, caps):
+        per_level = [None] * len(ref_levels)
+        for i in reversed(range(len(ref_levels))):
+            level, level_cap = ref_levels[i], caps[i]
+            if level < ref_level:
+                inc = coarsen_increments(inc, 1)
             n = 1 << level
             dt = horizon / n
-            kept, lev_bad = euler_batch(model, coarsen_increments(fine, ref_level - level), horizon)
+            kept, lev_bad = euler_batch(model, inc, horizon)
             bad |= lev_bad >= 0
             t_row = np.arange(n) * dt
             sig = np.maximum(np.asarray(model.base_sigma(t_row, kept[:, :-1]), dtype=float), 0.0)
@@ -369,7 +378,7 @@ def estimate_inverse_moment(
                 integrand = sig**q
             over = ~(integrand <= level_cap)
             per_path = np.where(over, level_cap, integrand).sum(axis=1) * dt
-            per_level.append((per_path, int(over.sum())))
+            per_level[i] = (per_path, int(over.sum()))
         sums = []
         for per_path, n_over in per_level:
             good = per_path[~bad]

@@ -21,6 +21,12 @@ __all__ = [
 ]
 
 
+def _is_scalar(t) -> bool:
+    """Whether t is a scalar time.  The Euler kernel passes a Python float
+    every step, so the type test runs first and np.ndim only for the rest."""
+    return type(t) is float or type(t) is int or np.ndim(t) == 0
+
+
 @dataclass(frozen=True)
 class ConstantParam:
     """t -> value."""
@@ -28,7 +34,7 @@ class ConstantParam:
     value: float
 
     def __call__(self, t):
-        return self.value + 0.0 * np.asarray(t, dtype=float) if np.ndim(t) else float(self.value)
+        return float(self.value) if _is_scalar(t) else self.value + 0.0 * np.asarray(t, dtype=float)
 
     def bounds(self, horizon: float) -> tuple[float, float]:
         return (self.value, self.value)
@@ -46,7 +52,7 @@ class AffineParam:
 
     def __call__(self, t):
         out = self.p + self.q * np.asarray(t, dtype=float)
-        return out if np.ndim(t) else float(out)
+        return float(out) if _is_scalar(t) else out
 
     def bounds(self, horizon: float) -> tuple[float, float]:
         a = self.p
@@ -78,7 +84,7 @@ class SinusoidalParam:
 
     def __call__(self, t):
         out = self.p + self.q * np.sin(self.omega * np.asarray(t, dtype=float))
-        return out if np.ndim(t) else float(out)
+        return float(out) if _is_scalar(t) else out
 
     def bounds(self, horizon: float) -> tuple[float, float]:
         lo, hi = _sin_range(self.omega, horizon)

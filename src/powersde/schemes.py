@@ -61,7 +61,10 @@ def euler_batch(
             t = k * dt
             a = drift(t, x)
             sig = sigma(t, x)
-            c = np.maximum(sig, 0.0) ** gamma
+            # sig - sig is +0 where sig is finite and NaN elsewhere, so the
+            # clamp maps a -inf sigma to NaN instead of 0 and the step goes
+            # non-finite, to be reported below like a NaN or +inf sigma
+            c = np.maximum(sig, sig - sig) ** gamma
             x_next = x + a * dt + c * increments[:, k]
             finite = np.isfinite(x_next)
             if not finite.all():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -59,6 +61,30 @@ def test_coarsen_is_exact_pairwise_sum():
     manual = inc.reshape(-1, 2).sum(axis=-1)
     np.testing.assert_array_equal(coarse, manual)
     np.testing.assert_array_equal(coarsen_increments(inc, 0), inc)
+
+
+def test_coarsen_composes_along_the_ladder():
+    """Halving rung by rung gives the same bits as halving straight from the
+    finest level, and as the reshape-and-sum pairwise reduction."""
+    inc = sample_increment_batch(4, 0, 3, 9, 1.0)
+    for a, b in [(1, 1), (2, 3), (4, 1), (0, 5)]:
+        direct = coarsen_increments(inc, a + b)
+        np.testing.assert_array_equal(coarsen_increments(coarsen_increments(inc, a), b), direct)
+        summed = inc
+        for _ in range(a + b):
+            summed = summed.reshape(*summed.shape[:-1], -1, 2).sum(axis=-1)
+        np.testing.assert_array_equal(direct, summed)
+
+
+def test_sampling_allocates_only_its_output():
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = sample_increment_batch(8, 0, 256, 12, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes
 
 
 def test_coarsen_increments_batched():

@@ -296,3 +296,21 @@ def test_reports_are_identical_for_any_worker_count(cir_model, cir_params, name)
     three = _run_estimator(name, cir_model, cir_params, 3)
     for field in dataclasses.fields(one):
         np.testing.assert_array_equal(getattr(one, field.name), getattr(three, field.name), err_msg=field.name)
+
+
+def test_estimator_outputs_are_pinned(cir_model):
+    """Exact outputs of a small strong-error and inverse-moment run.  A change
+    to sampling, coarsening, the kernel or the merge order that moves any
+    bit shows up here."""
+    cfg = ExperimentConfig(
+        model=cir_model, horizon=1.0, levels=(3, 4, 5), ref_level=9, paths=96, master_seed=11, batch_size=32
+    )
+    r = estimate_strong_error(cfg, workers=1)
+    assert [float(e).hex() for e in r.errors] == ["0x1.28fa4c4ac92fbp-4", "0x1.afb417476e547p-5", "0x1.28938c6ddb951p-5"]
+    assert [float(e).hex() for e in r.stderrs] == ["0x1.7eb64cb032027p-8", "0x1.06d216b65233ep-8", "0x1.7014624846ed6p-9"]
+    assert r.lambda_hat.hex() == "0x1.007fde5b1a0c2p-1"
+    assert r.argmax_nodes == (5, 14, 28)
+    est = estimate_inverse_moment(cir_model, -1.0, 1.0, 8, 96, 5, batch_size=32, workers=1)
+    assert [float(e).hex() for e in est.estimates] == ["0x1.5880142887714p+0", "0x1.588c9e5674c61p+0", "0x1.55ebf5ad88305p+0"]
+    assert [float(e).hex() for e in est.stderrs] == ["0x1.3984624738cb4p-4", "0x1.43308d984952bp-4", "0x1.3939cf82e0d90p-4"]
+    assert est.cap_hits == (0, 0, 0)

@@ -28,6 +28,22 @@ def test_array_evaluation_broadcasts():
     np.testing.assert_allclose(s(t), np.sin(math.pi * t))
 
 
+@pytest.mark.parametrize(
+    "param", [ConstantParam(2.5), AffineParam(1.0, 0.3), SinusoidalParam(1.0, 0.5, 2.0 * math.pi)]
+)
+def test_scalar_times_give_floats_equal_to_the_array_branch(param):
+    grid = np.arange(7) / 7.0
+    on_grid = param(grid)
+    for k, t in enumerate(grid):
+        values = [param(scalar) for scalar in (float(t), np.float64(t), np.array(t))]
+        assert all(type(v) is float for v in values)
+        # a Python float skips np.ndim but takes the same 0-d arithmetic
+        assert values[0] == values[1] == values[2]
+        assert values[0] == pytest.approx(on_grid[k], rel=1e-15)
+    assert type(param(1)) is float and param(1) == param(1.0)
+    assert param(grid[None, :]).shape == (1, 7)
+
+
 def test_constant_bounds_and_holder():
     p = ConstantParam(3.0)
     assert p.bounds(2.0) == (3.0, 3.0)

@@ -3,7 +3,7 @@ import pytest
 
 from powersde.brownian import sample_increment_batch
 from powersde.errors import InvalidCoefficientError
-from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
+from powersde.models import CoefficientFn, CoefficientMeta, SdeModel, eval_diffusion
 from powersde.schemes import euler_batch
 
 
@@ -120,3 +120,20 @@ def test_nonfinite_sigma_is_a_bad_coefficient_not_an_explosion():
         euler_batch(m, np.zeros((2, 8)), 1.0)
     assert exc_info.value.t == pytest.approx(1.0 / 8)
     assert exc_info.value.x == pytest.approx(-1.0 / 8)
+
+
+def test_negative_infinite_sigma_is_a_bad_coefficient_not_a_zero():
+    """sigma = -inf on a live path raises at its first (t, x), as
+    eval_diffusion does, instead of being clamped to 0 and carried on."""
+
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.5, -np.inf, 1.0)
+
+    m = SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.1)
+    with pytest.raises(InvalidCoefficientError):
+        eval_diffusion(m, 0.0, 0.1)
+    with pytest.raises(InvalidCoefficientError) as exc_info:
+        euler_batch(m, sample_increment_batch(3, 0, 2, 3, 1.0), 1.0)
+    assert exc_info.value.t == 0.0
+    assert exc_info.value.x == 0.1
