@@ -14,28 +14,41 @@ the inverse normal CDF, scaled by sqrt(T / 2^level).  Every value is a pure
 function of (m, p, j), so paths can be generated in any order, on any number
 of workers, with bit-identical results.
 
+Layout and chunking
+-------------------
+A lattice is stored steps-major: an (n_steps, n_paths) array whose row j
+holds increment j of every path, so an Euler step reads one contiguous row.
+PathStreams keeps one Philox generator per path, and sample_increment_batch
+draws the next time chunk of every path from it.  A Philox stream read in
+pieces gives the same draws as one read of the whole row, so a lattice
+joined over any chunking equals the one-shot lattice bit for bit, and a
+caller holds one chunk at a time instead of all 2^level steps.
+
 Summation order
 ---------------
 Coarsening halves adjacent pairs, so a level-l increment is a fixed binary
 tree over the finest increments it spans, the same for every batch layout.
-The estimators coarsen each batch rung by rung: the finest increments are
-halved to the finest level they study, and each coarser level is halved from
-the level just above it.  Halving is exact pairwise addition, so the rung a
-level is reached from never changes its bits.
+The estimators coarsen each chunk rung by rung: the finest increments are
+halved to the finest level they study, and each coarser level is halved
+from the level just above it.  Halving is exact pairwise addition, so the
+rung a level is reached from never changes its bits, and a chunk that holds
+whole coarse steps halves exactly as the full lattice would.
 """
 
 from __future__ import annotations
 
 from hashlib import sha256
+from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = ["sample_increment_batch", "coarsen_increments", "derive_seed"]
+__all__ = ["PathStreams", "sample_increment_batch", "coarsen_increments", "derive_seed"]
 
 MAX_LEVEL = 26  # 2^26 doubles is ~512 MiB per path; refuse beyond this
 _MASK64 = (1 << 64) - 1
+STAGE_VALUES = 1 << 14  # draws mapped to increments together, path-major
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -48,43 +61,75 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_increment_batch(
-    master_seed: int,
-    first_path: int,
-    n_paths: int,
-    level: int,
-    horizon: float,
-    max_level: int = MAX_LEVEL,
-) -> np.ndarray:
-    """Finest-level increments for paths first_path .. first_path+n_paths-1.
+class PathStreams:
+    """The increment streams of paths first_path .. first_path+n_paths-1 on
+    one dyadic level, read forward in time by sample_increment_batch."""
 
-    Returns an (n_paths, 2^level) array.  Row i depends only on
-    (master_seed, first_path + i), never on the batch layout.  The uniforms
-    are mapped to increments in place, so the output is the only
-    batch-sized allocation.
+    def __init__(
+        self,
+        master_seed: int,
+        first_path: int,
+        n_paths: int,
+        level: int,
+        horizon: float,
+        max_level: int = MAX_LEVEL,
+    ):
+        if level > max_level:
+            raise ValueError(f"level {level} exceeds the memory guard {max_level}")
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        if n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
+        key0 = master_seed & _MASK64
+        self.generators = [Philox(key=[key0, (first_path + i) & _MASK64]) for i in range(n_paths)]
+        self.n_steps = 1 << level
+        self.scale = np.sqrt(horizon / self.n_steps)
+        self.position = 0
+
+
+def sample_increment_batch(streams: PathStreams, n_steps: Optional[int] = None, out=None) -> np.ndarray:
+    """The next n_steps increments of every path, steps-major.
+
+    Returns an (n_steps, n_paths) array, written into out when given; row i
+    holds increment position + i of each path.  n_steps defaults to the rest
+    of the level.  Column p depends only on (master_seed, first_path + p)
+    and the step range, never on the batch layout or the chunking.  The raw
+    draws of a few paths at a time (about STAGE_VALUES values) are mapped to
+    increments in bulk and written, scaled, into their columns, so the
+    output is the only chunk-sized allocation.
     """
-    if level > max_level:
-        raise ValueError(f"level {level} exceeds the memory guard {max_level}")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    n = 1 << level
-    key0 = master_seed & _MASK64
-    u = np.empty((n_paths, n))
-    for i in range(n_paths):
-        raw = Philox(key=[key0, (first_path + i) & _MASK64]).random_raw(n)
-        u[i] = (np.right_shift(raw, 11) + 0.5) * (2.0**-53)
-    ndtri(u, out=u)
-    u *= np.sqrt(horizon / n)
-    return u
+    n_paths = len(streams.generators)
+    left = streams.n_steps - streams.position
+    if n_steps is None:
+        n_steps = left
+    if not 1 <= n_steps <= left:
+        raise ValueError(f"cannot draw {n_steps} steps with {left} left on the level")
+    if out is None:
+        out = np.empty((n_steps, n_paths))
+    elif out.shape != (n_steps, n_paths):
+        raise ValueError(f"out has shape {out.shape}, expected {(n_steps, n_paths)}")
+    rows = max(1, min(n_paths, STAGE_VALUES // n_steps))
+    raw = np.empty((rows, n_steps), dtype=np.uint64)
+    u = np.empty((rows, n_steps))
+    for p0 in range(0, n_paths, rows):
+        gens = streams.generators[p0 : p0 + rows]
+        for row, gen in zip(raw, gens):
+            row[:] = gen.random_raw(n_steps)
+        k = len(gens)
+        np.right_shift(raw[:k], 11, out=raw[:k])
+        np.add(raw[:k], 0.5, out=u[:k])
+        u[:k] *= 2.0**-53
+        ndtri(u[:k], out=u[:k])
+        np.multiply(u[:k].T, streams.scale, out=out[:, p0 : p0 + k])
+    streams.position += n_steps
+    return out
 
 
 def coarsen_increments(increments: np.ndarray, n_halvings: int) -> np.ndarray:
-    """Sum adjacent pairs n_halvings times along the last axis."""
+    """Sum adjacent pairs of rows (steps) n_halvings times along axis 0."""
     if n_halvings < 0:
         raise ValueError("cannot refine, only coarsen")
     out = increments
     for _ in range(n_halvings):
-        out = out[..., ::2] + out[..., 1::2]
+        out = out[::2] + out[1::2]
     return out

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -655,16 +654,19 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
     """
     kappa, lam, theta = params.kappa, params.lam, params.theta
 
-    # the scheme evaluates the drift at the same grid times for every batch,
-    # so caching the clock inversions makes the cost per step one lookup
-    inverse_clock = lru_cache(maxsize=1 << 20)(lambda s: tc.A(s))
-
-    def drift_fn(s, x):
-        t = inverse_clock(float(s))
+    # the clock inversion is time-only, so the Euler kernel runs it once per
+    # grid node when it tabulates the drift, never once per step
+    def drift_time(s):
+        t = tc.A(float(s))
         th = theta(t)
-        return kappa(t) * (lam(t) - x) / (th * th)
+        return kappa(t), lam(t), th * th
 
-    drift = CoefficientFn(drift_fn, CoefficientMeta(), name=f"{params.kind}-drift-timechanged")
+    def drift_fn(k, l, th2, x):
+        return k * (l - x) / th2
+
+    drift = CoefficientFn(
+        drift_fn, CoefficientMeta(), name=f"{params.kind}-drift-timechanged", time=drift_time
+    )
 
     if params.kind == "wf":
 

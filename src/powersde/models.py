@@ -32,6 +32,7 @@ __all__ = [
     "PrototypeParams",
     "make_prototype",
     "eval_diffusion",
+    "clamped_power",
 ]
 
 
@@ -51,14 +52,42 @@ class CoefficientMeta:
 
 @dataclass(frozen=True)
 class CoefficientFn:
-    """A coefficient (t, x) -> value, elementwise and broadcast-safe."""
+    """A coefficient (t, x) -> value, elementwise and broadcast-safe.
+
+    A coefficient may declare a time-only part: time(t) returns a tuple of
+    the factors that depend on t alone, and the coefficient is then
+    fn(*time(t), x).  Without one, time(t) is (t,) and fn(t, x) is the
+    coefficient.  Either way the Euler kernel evaluates time once per grid
+    node (tabulate) and fn once per step, with the same arithmetic as a
+    direct call at that node.
+    """
 
     fn: Callable
     meta: CoefficientMeta = field(default_factory=CoefficientMeta)
     name: str = ""
+    time: Optional[Callable] = None
 
     def __call__(self, t, x):
-        return self.fn(t, x)
+        if self.time is None:
+            return self.fn(t, x)
+        return self.fn(*self.time(t), x)
+
+    def tabulate(self, times: np.ndarray) -> np.ndarray:
+        """The arguments fn takes before x, one row per entry of times.
+
+        Each time is passed on its own, as a Python float, exactly as a
+        direct call at that time would pass it.
+        """
+        times = np.asarray(times, dtype=float)
+        if self.time is None:
+            return times[:, None]
+        table = None
+        for k, t in enumerate(times):
+            row = self.time(float(t))
+            if table is None:
+                table = np.empty((len(times), len(row)))
+            table[k] = row
+        return table
 
 
 @dataclass(frozen=True)
@@ -67,6 +96,8 @@ class SdeModel:
 
     domain is metadata for the boundary criteria; simulation runs on all of
     the real line and relies on the clamps inside sigma, never on projection.
+    A plain callable (t, x) -> value given as drift or base_sigma is wrapped
+    in a CoefficientFn with no declared constants.
     """
 
     drift: CoefficientFn
@@ -77,6 +108,10 @@ class SdeModel:
     name: str = ""
 
     def __post_init__(self):
+        for role in ("drift", "base_sigma"):
+            coef = getattr(self, role)
+            if not isinstance(coef, CoefficientFn):
+                object.__setattr__(self, role, CoefficientFn(coef))
         if not 0.5 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [1/2, 1), got {self.gamma}")
         if not math.isfinite(self.x0):
@@ -110,8 +145,18 @@ def eval_diffusion(model: SdeModel, t, x):
             t=t_bad,
             x=x_bad,
         )
-    c = np.maximum(sig, 0.0) ** model.gamma
+    c = clamped_power(sig, model.gamma)
     return c if sig.ndim else float(c)
+
+
+def clamped_power(sig, gamma: float):
+    """max(sig, 0)^gamma, the one diffusion clamp of the package.
+
+    sig - sig is +0 where sig is finite and NaN elsewhere, so finite values
+    clamp exactly as np.maximum(sig, 0.0) does, while a -inf sigma maps to
+    NaN instead of 0 and stays visible to the Euler kernel's checks.
+    """
+    return np.maximum(sig, sig - sig) ** gamma
 
 
 @dataclass(frozen=True)
@@ -195,8 +240,11 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     hol_lam = lam.holder_half(T)
     hol_theta = theta.holder_half(T)
 
-    def drift_fn(t, x):
-        return kappa(t) * (lam(t) - x)
+    def drift_time(t):
+        return kappa(t), lam(t)
+
+    def drift_fn(k, l, x):
+        return k * (l - x)
 
     hol_product = sup_kappa * hol_lam + sup_lam * hol_kappa
     drift = CoefficientFn(
@@ -207,14 +255,19 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
             nonnegative=False,
         ),
         name=f"{kind}-drift",
+        time=drift_time,
     )
+
+    def theta_squared(t):
+        th = theta(t)
+        return (th * th,)
 
     if kind == "cir":
         gamma = 0.5
+        sigma_time = theta_squared
 
-        def sigma_fn(t, x):
-            th = theta(t)
-            return th * th * np.maximum(x, 0.0)
+        def sigma_fn(th2, x):
+            return th2 * np.maximum(x, 0.0)
 
         sigma_meta = CoefficientMeta(
             lipschitz_K=sup_theta**2,
@@ -223,11 +276,11 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
         )
     elif kind == "wf":
         gamma = 0.5
+        sigma_time = theta_squared
 
-        def sigma_fn(t, x):
-            th = theta(t)
+        def sigma_fn(th2, x):
             x = np.asarray(x, dtype=float)
-            out = th * th * np.maximum(x * (1.0 - x), 0.0)
+            out = th2 * np.maximum(x * (1.0 - x), 0.0)
             return out if out.ndim else float(out)
 
         # x(1-x) is capped at 1/4, so the time-increment bound tightens by 4
@@ -240,8 +293,13 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
         gamma = float(params.gamma)
         inv_gamma = 1.0 / gamma
 
-        def sigma_fn(t, x):
-            return theta(t) ** inv_gamma * np.maximum(x, 0.0)
+        def theta_power(t):
+            return (theta(t) ** inv_gamma,)
+
+        sigma_time = theta_power
+
+        def sigma_fn(scale, x):
+            return scale * np.maximum(x, 0.0)
 
         sigma_meta = CoefficientMeta(
             lipschitz_K=sup_theta**inv_gamma,
@@ -249,7 +307,7 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
             nonnegative=True,
         )
 
-    base_sigma = CoefficientFn(sigma_fn, sigma_meta, name=f"{kind}-sigma")
+    base_sigma = CoefficientFn(sigma_fn, sigma_meta, name=f"{kind}-sigma", time=sigma_time)
     return SdeModel(
         drift=drift,
         base_sigma=base_sigma,

@@ -3,18 +3,27 @@ pathwise comparison and clock-change distribution checks.
 
 Determinism contract
 --------------------
-Every estimator is a per-batch kernel run by one engine, _map_paths.  Work is
-split into fixed-size path batches; batch i always covers the same path
-indices, every batch is a pure function of (seed, batch index), and the
-kernels' partial sums are merged in batch-index order.  Results are therefore
-byte-identical for any worker count, including the serial fallback.  A
+Every estimator is a simulate/reduce pair run by one engine, _map_paths.
+Paths are split into fixed blocks of batch_size; block i always covers the
+same path indices.  A task is a run of whole blocks, about TASK_PATHS paths
+wide, swept together one time chunk at a time; each block is then reduced
+on its own, exactly as if it had been simulated alone, and the engine folds
+the block partials in block-index order.  Every block partial is a pure function
+of (seed, block index), so results are byte-identical for any worker count,
+including the serial fallback, and for any grouping of blocks into tasks.  A
 different batch size regroups the partial sums, which moves results by
 rounding only.
 
+Each estimator tabulates its grids' time-only coefficient parts in the
+calling process before dispatch, so workers inherit the tables.  Within a
+task the sweeps advance through each chunk in a fixed order (reference
+first, then coarser levels), so when several sweeps meet a bad coefficient,
+the error raised is the first one in that order.
+
 Explosion policy
 ----------------
-A path that goes non-finite at any of the grids a kernel runs is left out of
-every partial sum.  The engine counts such paths for all four estimators:
+A path that goes non-finite at any of the grids an estimator runs is left
+out of every partial sum.  The engine counts such paths for all four estimators:
 on_explosion="abort" raises SimulationAbort if there is any, "drop" reports
 how many were dropped, and a run with no surviving path always aborts.
 """
@@ -31,11 +40,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .brownian import MAX_LEVEL, coarsen_increments, sample_increment_batch
+from .brownian import MAX_LEVEL, PathStreams, coarsen_increments, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, SimulationAbort
 from .models import PrototypeParams, SdeModel, make_prototype
-from .schemes import euler_batch
+from .schemes import EulerGrid, EulerSweep, euler_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -52,6 +61,10 @@ __all__ = [
 DEFAULT_BATCH = 512
 REF_GAP = 4
 Z_SIGNIFICANCE = 1e-3
+TASK_PATHS = 4096  # paths one task sweeps together, in whole blocks
+# Fine steps per time chunk.  At least 512, so the inverse-moment chunks at
+# ref_level - 2 hold 128 steps, the leaf size of numpy's pairwise sum.
+CHUNK_STEPS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +77,18 @@ def _invoke_task(i):
     return _WORKER_TASK(i)
 
 
-def _run_batches(task, n_batches: int, workers: Optional[int]):
-    """Map task over batch indices, merging nothing; order is preserved."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), n_batches))
+def _run_batches(task, n_tasks: int, workers: int):
+    """Map task over task indices, merging nothing; order is preserved."""
+    workers = max(1, min(workers, n_tasks))
     use_pool = workers > 1 and hasattr(os, "fork")
     if not use_pool:
-        return [task(i) for i in range(n_batches)]
+        return [task(i) for i in range(n_tasks)]
     global _WORKER_TASK
     _WORKER_TASK = task
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            return pool.map(_invoke_task, range(n_batches), chunksize=1)
+            return pool.map(_invoke_task, range(n_tasks), chunksize=1)
     finally:
         _WORKER_TASK = None
 
@@ -86,24 +97,49 @@ def _add_partials(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _map_paths(kernel, paths, batch_size, workers, on_explosion, merge=_add_partials):
-    """Run kernel over fixed path batches and merge its partials in batch order.
+def _task_runs(n_blocks: int, batch_size: int, workers: int) -> list[int]:
+    """Block indices cutting the blocks into balanced runs, one per task.
 
-    kernel(first_path, n_paths) simulates one batch and returns
-    (partial, n_bad): partial is a tuple of sums over the batch's surviving
-    paths, reduced inside the worker, and n_bad counts the paths that went
-    non-finite.  Partials are folded left to right in batch-index order with
-    merge (slotwise addition by default).  Returns (total, dropped).
+    Runs hold about TASK_PATHS paths at most (one block when a block is
+    wider), and their number is a multiple of the worker count when there
+    are enough blocks, so the workers get even shares.
+    """
+    per_task = max(1, TASK_PATHS // batch_size)
+    n_tasks = -(-n_blocks // per_task)
+    n_tasks = min(n_blocks, -(-n_tasks // workers) * workers)
+    return [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
+
+
+def _map_paths(simulate, reduce_block, paths, batch_size, workers, on_explosion, merge=_add_partials):
+    """Simulate runs of fixed path blocks and merge their block partials in
+    block order.
+
+    simulate(first_path, n_paths, width) sweeps one run of paths together
+    and returns its per-path results; width is the widest run's path count,
+    the same for every task of the call.  reduce_block(results, block)
+    reduces the paths of one block (a slice of the run) to (partial, n_bad),
+    exactly as a run of that block alone would: partial is a tuple of sums
+    over the block's surviving paths, reduced inside the worker, and n_bad
+    counts the block's paths that went non-finite.  Partials are folded left
+    to right in block-index order with merge (slotwise addition by default).
+    Returns (total, dropped).
     """
     if on_explosion not in ("abort", "drop"):
         raise ValueError("on_explosion must be 'abort' or 'drop'")
-    ranges = [(p0, min(p0 + batch_size, paths)) for p0 in range(0, paths, batch_size)]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, int(workers))
+    n_blocks = -(-paths // batch_size)
+    cuts = _task_runs(n_blocks, batch_size, workers)
+    width = max(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)) * batch_size
 
     def task(i):
-        p0, p1 = ranges[i]
-        return kernel(p0, p1 - p0)
+        p0 = cuts[i] * batch_size
+        n = min(cuts[i + 1] * batch_size, paths) - p0
+        results = simulate(p0, n, width)
+        return [reduce_block(results, slice(q, min(q + batch_size, n))) for q in range(0, n, batch_size)]
 
-    partials = _run_batches(task, len(ranges), workers)
+    partials = [block for run in _run_batches(task, len(cuts) - 1, workers) for block in run]
     dropped = sum(n_bad for _, n_bad in partials)
     if dropped and on_explosion == "abort":
         raise SimulationAbort(
@@ -114,6 +150,28 @@ def _map_paths(kernel, paths, batch_size, workers, on_explosion, merge=_add_part
     if dropped == paths:
         raise SimulationAbort("every path exploded", n_flagged=dropped)
     return reduce(merge, (partial for partial, _ in partials)), dropped
+
+
+def _chunk_steps(level: int, coarsest: int) -> int:
+    """Fine steps per chunk of a level-`level` lattice whose coarsest grid
+    is level `coarsest`: CHUNK_STEPS, widened to hold one coarsest step,
+    capped at the whole lattice."""
+    return min(1 << level, max(CHUNK_STEPS, 1 << (level - coarsest)))
+
+
+def _chunks(streams: PathStreams, chunk: int, width: int):
+    """The lattice of streams in time order, chunk steps at a time.
+
+    Every chunk is written into the same buffer, so a chunk is valid until
+    the next one is drawn.  The buffer is allocated width paths wide, the
+    same for every task of a call, and only its first columns are used: when
+    a worker's tasks asked for chunk buffers of different sizes, the C heap
+    could keep a freed one resident while mapping the next, doubling the
+    worker's peak memory.
+    """
+    buf = np.empty((chunk, width))[:, : len(streams.generators)]
+    for _ in range(streams.n_steps // chunk):
+        yield sample_increment_batch(streams, chunk, out=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +279,57 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     fine-grid reference, with a fitted convergence order.
 
     Every path is simulated once at the reference level and once per studied
-    level, all from one Brownian lattice, so differences are pathwise.  The
-    reference trajectory is streamed: only its values on the finest studied
-    grid are kept.  Each batch's lattice is sampled once and walked down a
-    halving ladder, finest studied level first, each level coarsened from
-    the one above it; only the current rung is held.
+    level, all from one Brownian lattice, so differences are pathwise.  Each
+    task's lattice is streamed in time chunks, and each chunk is walked down
+    a halving ladder, finest studied level first, each level coarsened from
+    the one above it; only the current chunk and rung are held, plus each
+    level's per-node errors.  The reference trajectory keeps only its values
+    on the finest studied grid, one chunk at a time.
     """
     model = config.model
     T = config.horizon
     levels = config.levels
     lmax = max(levels)
     ref_stride = 1 << (config.ref_level - lmax)
+    ref_grid = EulerGrid(model, T, 1 << config.ref_level)
+    grids = [EulerGrid(model, T, 1 << level) for level in levels]
+    chunk = _chunk_steps(config.ref_level, levels[0])
 
-    def kernel(p0, b):
-        inc = sample_increment_batch(config.master_seed, p0, b, config.ref_level, T)
-        ref_kept, ref_bad = euler_batch(model, inc, T, keep_stride=ref_stride)
-        bad = ref_bad >= 0
-        diffs = [None] * len(levels)
-        above = config.ref_level
-        for i in reversed(range(len(levels))):
-            inc = coarsen_increments(inc, above - levels[i])
-            above = levels[i]
-            xs, lev_bad = euler_batch(model, inc, T)
-            bad |= lev_bad >= 0
-            diffs[i] = np.abs(ref_kept[:, :: 1 << (lmax - levels[i])] - xs)
+    def simulate(p0, b, width):
+        streams = PathStreams(config.master_seed, p0, b, config.ref_level, T)
+        ref_sweep = EulerSweep(ref_grid, b, keep_stride=ref_stride)
+        sweeps = [EulerSweep(grid, b) for grid in grids]
+        # |reference - scheme| at every node of each level, path-major so a
+        # block's path sums add row after row as a batch-sized run would;
+        # node 0 is x0 on both, a zero error
+        diffs = [np.zeros((b, (1 << level) + 1)) for level in levels]
+        for inc in _chunks(streams, chunk, width):
+            ref_nodes = euler_batch(ref_sweep, inc)
+            above = config.ref_level
+            for i in reversed(range(len(levels))):
+                inc = coarsen_increments(inc, above - levels[i])
+                above = levels[i]
+                k0 = sweeps[i].step
+                nodes = euler_batch(sweeps[i], inc)
+                step = 1 << (lmax - levels[i])
+                diffs[i][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
+        bad = ref_sweep.first_bad >= 0
+        for sweep in sweeps:
+            bad |= sweep.first_bad >= 0
+        return diffs, bad
+
+    def reduce_block(results, block):
+        diffs, bad = results
+        good = ~bad[block]
         sums = []
         for diff in diffs:
-            diff = diff[~bad]
+            diff = diff[block][good]
             sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
-        return tuple(sums), int(bad.sum())
+        return tuple(sums), int(bad[block].sum())
 
-    sums, dropped = _map_paths(kernel, config.paths, config.batch_size, workers, config.on_explosion)
+    sums, dropped = _map_paths(
+        simulate, reduce_block, config.paths, config.batch_size, workers, config.on_explosion
+    )
     m_eff = config.paths - dropped
 
     errors, stderrs, argmaxes = [], [], []
@@ -310,6 +388,25 @@ class MomentEstimate:
         self.stderrs.setflags(write=False)
 
 
+def _sigma_rows(grid: EulerGrid, k0: int, x: np.ndarray):
+    """Base sigma at nodes k0 .. k0 + len(x) - 1 of grid, for the steps-major
+    states x, from the grid's table of time-only parts."""
+    rows = grid.sigma[k0 : k0 + len(x)]
+    return grid.model.base_sigma.fn(*(column[:, None] for column in rows.T), x)
+
+
+def _pairwise_total(parts: list) -> np.ndarray:
+    """Combine equal power-of-two chunk sums in a binary tree.
+
+    numpy sums a contiguous row pairwise, halving down to 128-element
+    leaves, so for chunks of at least 128 steps (or a single chunk) this
+    equals the sum of the whole row bit for bit.
+    """
+    while len(parts) > 1:
+        parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
 def estimate_inverse_moment(
     model: SdeModel,
     q: float,
@@ -360,32 +457,48 @@ def estimate_inverse_moment(
             divergence_flag=False,
         )
 
-    def kernel(p0, b):
-        inc = sample_increment_batch(seed, p0, b, ref_level, horizon)
-        bad = np.zeros(b, dtype=bool)
-        per_level = [None] * len(ref_levels)
-        for i in reversed(range(len(ref_levels))):
-            level, level_cap = ref_levels[i], caps[i]
-            if level < ref_level:
-                inc = coarsen_increments(inc, 1)
-            n = 1 << level
-            dt = horizon / n
-            kept, lev_bad = euler_batch(model, inc, horizon)
-            bad |= lev_bad >= 0
-            t_row = np.arange(n) * dt
-            sig = np.maximum(np.asarray(model.base_sigma(t_row, kept[:, :-1]), dtype=float), 0.0)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                integrand = sig**q
-            over = ~(integrand <= level_cap)
-            per_path = np.where(over, level_cap, integrand).sum(axis=1) * dt
-            per_level[i] = (per_path, int(over.sum()))
-        sums = []
-        for per_path, n_over in per_level:
-            good = per_path[~bad]
-            sums += [float(good.sum()), float((good * good).sum()), n_over]
-        return tuple(sums), int(bad.sum())
+    grids = [EulerGrid(model, horizon, 1 << level) for level in ref_levels]
+    chunk = _chunk_steps(ref_level, ref_levels[0])
 
-    sums, dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion)
+    def simulate(p0, b, width):
+        streams = PathStreams(seed, p0, b, ref_level, horizon)
+        sweeps = [EulerSweep(grid, b) for grid in grids]
+        # the node before each sweep's next chunk: x_{k0}, the first left end
+        last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
+        chunk_sums = [[] for _ in ref_levels]
+        cap_hits = [np.zeros(b, dtype=np.int64) for _ in ref_levels]
+        for inc in _chunks(streams, chunk, width):
+            for i in reversed(range(len(ref_levels))):
+                if ref_levels[i] < ref_level:
+                    inc = coarsen_increments(inc, 1)
+                k0 = sweeps[i].step
+                nodes = euler_batch(sweeps[i], inc)
+                left = np.concatenate([last[i], nodes[:-1]])
+                last[i] = nodes[-1:]
+                sig = np.maximum(np.asarray(_sigma_rows(grids[i], k0, left), dtype=float), 0.0)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    integrand = sig**q
+                over = ~(integrand <= caps[i])
+                cap_hits[i] += over.sum(axis=0)
+                capped = np.where(over, caps[i], integrand)
+                # each path's chunk summed along a contiguous row
+                chunk_sums[i].append(np.ascontiguousarray(capped.T).sum(axis=1))
+        bad = np.zeros(b, dtype=bool)
+        for sweep in sweeps:
+            bad |= sweep.first_bad >= 0
+        per_path = [_pairwise_total(parts) * grid.dt for parts, grid in zip(chunk_sums, grids)]
+        return per_path, cap_hits, bad
+
+    def reduce_block(results, block):
+        per_path, cap_hits, bad = results
+        good = ~bad[block]
+        sums = []
+        for integral, hits in zip(per_path, cap_hits):
+            kept = integral[block][good]
+            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[block].sum())]
+        return tuple(sums), int(bad[block].sum())
+
+    sums, dropped = _map_paths(simulate, reduce_block, paths, batch_size, workers, on_explosion)
     m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
@@ -481,20 +594,36 @@ def comparison_check(
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 
-    def kernel(p0, b):
-        inc = sample_increment_batch(seed, p0, b, level, horizon)
-        lo_kept, lo_bad = euler_batch(model_lo, inc, horizon)
-        hi_kept, hi_bad = euler_batch(model_hi, inc, horizon)
-        good = (lo_bad < 0) & (hi_bad < 0)
-        worst = (hi_kept - lo_kept)[good].min(axis=1)
-        violating = int((worst < -tolerance).sum())
-        max_violation = max(0.0, -float(worst.min(initial=np.inf)))
-        return (violating, max_violation), b - int(good.sum())
+    grid_lo = EulerGrid(model_lo, horizon, 1 << level)
+    grid_hi = EulerGrid(model_hi, horizon, 1 << level)
+    chunk = _chunk_steps(level, level)
+
+    def simulate(p0, b, width):
+        streams = PathStreams(seed, p0, b, level, horizon)
+        lo = EulerSweep(grid_lo, b)
+        hi = EulerSweep(grid_hi, b)
+        # each path's smallest gap over all nodes, node 0 included; min is
+        # exact, so taking it chunk by chunk changes no bit
+        worst = np.full(b, float(model_hi.x0) - float(model_lo.x0))
+        for inc in _chunks(streams, chunk, width):
+            lo_nodes = euler_batch(lo, inc)
+            gaps = euler_batch(hi, inc) - lo_nodes
+            np.minimum(worst, gaps.min(axis=0), out=worst)
+        return worst, (lo.first_bad < 0) & (hi.first_bad < 0)
+
+    def reduce_block(results, block):
+        worst, good = results
+        kept = worst[block][good[block]]
+        violating = int((kept < -tolerance).sum())
+        max_violation = max(0.0, -float(kept.min(initial=np.inf)))
+        return (violating, max_violation), len(worst[block]) - len(kept)
 
     def merge(a, b):
         return a[0] + b[0], max(a[1], b[1])
 
-    (n_violating, max_violation), dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion, merge)
+    (n_violating, max_violation), dropped = _map_paths(
+        simulate, reduce_block, paths, batch_size, workers, on_explosion, merge
+    )
     return ComparisonReport(
         level=level,
         paths=paths,
@@ -532,14 +661,25 @@ class TimeChangeReport:
 
 
 def _endpoint_moments(model, horizon, level, paths, seed, batch_size, workers, on_explosion):
-    def kernel(p0, b):
-        inc = sample_increment_batch(seed, p0, b, level, horizon)
-        kept, bad = euler_batch(model, inc, horizon, keep_stride=1 << level)
-        good = kept[bad < 0, -1]
-        powers = (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
-        return powers, b - len(good)
+    grid = EulerGrid(model, horizon, 1 << level)
+    chunk = _chunk_steps(level, level)
 
-    (s1, s2, s3, s4), dropped = _map_paths(kernel, paths, batch_size, workers, on_explosion)
+    def simulate(p0, b, width):
+        streams = PathStreams(seed, p0, b, level, horizon)
+        sweep = EulerSweep(grid, b, keep_stride=1 << level)
+        for inc in _chunks(streams, chunk, width):
+            kept = euler_batch(sweep, inc)
+        return kept[-1], sweep.first_bad < 0
+
+    def reduce_block(results, block):
+        end, ok = results
+        good = end[block][ok[block]]
+        powers = (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
+        return powers, len(end[block]) - len(good)
+
+    (s1, s2, s3, s4), dropped = _map_paths(
+        simulate, reduce_block, paths, batch_size, workers, on_explosion
+    )
     m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2

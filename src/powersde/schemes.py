@@ -5,8 +5,16 @@ The recursion, for a model dX = a dt + sigma^gamma dW on a level-l grid, is
     x_{k+1} = x_k + a(t_k, x_k) dt + max(sigma(t_k, x_k), 0)^gamma dW_k
 
 evaluated exactly as written, left to right, one fused numpy expression per
-step.  Every trajectory, including the reference, is one row of the batched
-kernel euler_batch; rows never interact, so batching never changes results.
+step.  Every trajectory, including the reference, is one column of the
+batched kernel euler_batch; columns never interact, so batching never
+changes results.
+
+A sweep is resumable: euler_batch advances an EulerSweep through one
+steps-major chunk of increments at a time, so a lattice streamed in time
+chunks gives the same trajectories, bit for bit, as one call on the whole
+lattice.  The time-only parts of the coefficients are tabulated once per
+grid (EulerGrid), so each step makes one call per coefficient and no
+per-step evaluation of time functions.
 
 The reference solution is the same scheme run at the lattice's finest level.
 It is a proxy for the exact solution whose own error is of the order under
@@ -19,57 +27,92 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidCoefficientError
-from .models import SdeModel
+from .models import SdeModel, clamped_power
 
-__all__ = ["euler_batch"]
+__all__ = ["EulerGrid", "EulerSweep", "euler_batch"]
 
 
-def euler_batch(
-    model: SdeModel,
-    increments: np.ndarray,
-    horizon: float,
-    keep_stride: int = 1,
-):
-    """Run the scheme on a (B, N) batch of increments.
+class EulerGrid:
+    """A model on the n_steps-step equidistant grid of [0, horizon].
 
-    Only every keep_stride-th node is stored (plus node 0), so a fine
-    reference can be streamed against coarse grids without holding all
-    2^L_ref values per path.  Returns (kept, first_bad): kept has shape
-    (B, N // keep_stride + 1); first_bad[i] is the first node index at which
-    path i went non-finite, or -1.  Frozen paths keep NaN in later kept slots
-    while the rest of the batch continues.  A non-finite sigma(t_k, x_k) on a
-    live path is a bad coefficient, not an explosion, and raises
-    InvalidCoefficientError.
+    drift and sigma hold the coefficients' time-only parts at the left end
+    t_k = k * dt of every step, one row per step, so building a grid is
+    where time functions (a clock inversion, say) are evaluated: once per
+    node, in the process that builds it.
     """
-    increments = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths, n_steps = increments.shape
-    if keep_stride < 1 or n_steps % keep_stride != 0:
-        raise ValueError("keep_stride must divide the step count")
-    dt = horizon / n_steps
-    gamma = model.gamma
-    drift = model.drift
-    sigma = model.base_sigma
 
-    x = np.full(n_paths, float(model.x0))
-    kept = np.empty((n_paths, n_steps // keep_stride + 1))
-    kept[:, 0] = x
-    first_bad = np.full(n_paths, -1, dtype=np.int64)
-    alive = np.ones(n_paths, dtype=bool)
-    j = 1
+    def __init__(self, model: SdeModel, horizon: float, n_steps: int):
+        if n_steps < 1:
+            raise ValueError("a grid needs at least one step")
+        self.model = model
+        self.n_steps = n_steps
+        self.dt = horizon / n_steps
+        times = np.arange(n_steps) * self.dt
+        self.drift = model.drift.tabulate(times)
+        self.sigma = model.base_sigma.tabulate(times)
+
+
+class EulerSweep:
+    """The state of one batched Euler run on a grid, between chunks.
+
+    x holds the current node of every path (0.0 on frozen paths), step the
+    global index of the next step, and first_bad[i] the first node index at
+    which path i went non-finite, or -1.
+    """
+
+    def __init__(self, grid: EulerGrid, n_paths: int, keep_stride: int = 1):
+        if keep_stride < 1 or grid.n_steps % keep_stride != 0:
+            raise ValueError("keep_stride must divide the step count")
+        self.grid = grid
+        self.keep_stride = keep_stride
+        self.x = np.full(n_paths, float(grid.model.x0))
+        self.first_bad = np.full(n_paths, -1, dtype=np.int64)
+        self.step = 0
+
+
+def euler_batch(sweep: EulerSweep, increments: np.ndarray) -> np.ndarray:
+    """Advance sweep through an (m, n_paths) chunk of increments.
+
+    Returns the kept nodes the chunk reaches, steps-major: one row for each
+    global node index k + 1 in the chunk that keep_stride divides (node 0,
+    the start, is never returned).  Frozen paths read NaN in kept rows after
+    the node where they went non-finite, while the rest of the batch
+    continues.  A non-finite sigma(t_k, x_k) on a live path is a bad
+    coefficient, not an explosion, and raises InvalidCoefficientError.
+    """
+    increments = np.asarray(increments, dtype=float)
+    x = sweep.x
+    if increments.ndim != 2 or increments.shape[1] != len(x):
+        raise ValueError(f"increments must have shape (steps, {len(x)}), got {increments.shape}")
+    grid = sweep.grid
+    k0 = sweep.step
+    n = increments.shape[0]
+    if k0 + n > grid.n_steps:
+        raise ValueError(f"{n} increments run past step {grid.n_steps} from step {k0}")
+    stride = sweep.keep_stride
+    kept = np.empty(((k0 + n) // stride - k0 // stride, len(x)))
+    dt = grid.dt
+    gamma = grid.model.gamma
+    drift = grid.model.drift.fn
+    sigma = grid.model.base_sigma.fn
+    # as Python floats: cheap to unpack, and the values the time parts returned
+    drift_args = grid.drift[k0 : k0 + n].tolist()
+    sigma_args = grid.sigma[k0 : k0 + n].tolist()
+    first_bad = sweep.first_bad
+    alive = first_bad < 0
+    all_alive = bool(alive.all())
+    j = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n_steps):
-            t = k * dt
-            a = drift(t, x)
-            sig = sigma(t, x)
-            # sig - sig is +0 where sig is finite and NaN elsewhere, so the
-            # clamp maps a -inf sigma to NaN instead of 0 and the step goes
-            # non-finite, to be reported below like a NaN or +inf sigma
-            c = np.maximum(sig, sig - sig) ** gamma
-            x_next = x + a * dt + c * increments[:, k]
+        for k in range(k0, k0 + n):
+            a = drift(*drift_args[k - k0], x)
+            sig = sigma(*sigma_args[k - k0], x)
+            c = clamped_power(sig, gamma)
+            x_next = x + a * dt + c * increments[k - k0]
             finite = np.isfinite(x_next)
             if not finite.all():
                 bad_sig = alive & ~np.isfinite(sig)
                 if bad_sig.any():
+                    t = k * dt
                     x_bad = float(x[np.argmax(bad_sig)])
                     raise InvalidCoefficientError(
                         f"base sigma returned a non-finite value at (t={t}, x={x_bad})", t=t, x=x_bad
@@ -78,9 +121,12 @@ def euler_batch(
                 if newly.any():
                     first_bad[newly] = k + 1
                     alive &= finite
+                    all_alive = False
                 x_next = np.where(finite, x_next, 0.0)
             x = x_next
-            if (k + 1) % keep_stride == 0:
-                kept[:, j] = np.where(alive, x, np.nan)
+            if (k + 1) % stride == 0:
+                kept[j] = x if all_alive else np.where(alive, x, np.nan)
                 j += 1
-    return kept, first_bad
+    sweep.x = x
+    sweep.step = k0 + n
+    return kept

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from powersde.brownian import MAX_LEVEL, coarsen_increments, derive_seed, sample_increment_batch
+from powersde.brownian import MAX_LEVEL, PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
-from powersde.schemes import euler_batch
+from sweeps import euler_run
+
+
+def _lattice(seed, first_path, n_paths, level, horizon):
+    """The whole steps-major lattice of the paths, in one draw."""
+    return sample_increment_batch(PathStreams(seed, first_path, n_paths, level, horizon))
 
 
 def _path(seed, path, level, horizon):
-    return sample_increment_batch(seed, path, 1, level, horizon)[0]
+    return _lattice(seed, path, 1, level, horizon)[:, 0]
 
 
 def test_derive_seed_is_stable_and_64bit():
@@ -22,16 +27,32 @@ def test_derive_seed_is_stable_and_64bit():
 
 
 def test_batch_rows_match_individual_sampling():
-    """Row i depends only on (seed, first_path + i), not on batch layout."""
-    batch = sample_increment_batch(9, 10, 4, 6, 1.0)
+    """Path i (column i) depends only on (seed, first_path + i), not on
+    batch layout."""
+    batch = _lattice(9, 10, 4, 6, 1.0)
     for i in range(4):
-        single = sample_increment_batch(9, 10 + i, 1, 6, 1.0)[0]
-        np.testing.assert_array_equal(batch[i], single)
+        single = _lattice(9, 10 + i, 1, 6, 1.0)[:, 0]
+        np.testing.assert_array_equal(batch[:, i], single)
 
 
 def test_lattice_shape():
-    assert sample_increment_batch(3, 0, 1, 8, 2.0).shape == (1, 256)
-    assert sample_increment_batch(3, 5, 3, 8, 2.0).shape == (3, 256)
+    assert _lattice(3, 0, 1, 8, 2.0).shape == (256, 1)
+    assert _lattice(3, 5, 3, 8, 2.0).shape == (256, 3)
+
+
+@pytest.mark.parametrize("lengths", [[1] * 512, [4] * 128, [64] * 8, [512], [1, 2, 5, 128, 256, 120]])
+def test_stream_joined_over_chunks_equals_one_shot_sampling(lengths):
+    """Drawing the lattice chunk by chunk, into a reused buffer or not,
+    gives the one-shot lattice bit for bit, whatever the chunk lengths."""
+    whole = _lattice(5, 7, 3, 9, 1.5)
+    streams = PathStreams(5, 7, 3, 9, 1.5)
+    buf = np.empty((lengths[0], 3))
+    parts = [
+        sample_increment_batch(streams, n, out=buf if n == len(buf) else None).copy() for n in lengths
+    ]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+    with pytest.raises(ValueError):
+        sample_increment_batch(streams, 1)
 
 
 def test_increments_look_gaussian():
@@ -66,13 +87,13 @@ def test_coarsen_is_exact_pairwise_sum():
 def test_coarsen_composes_along_the_ladder():
     """Halving rung by rung gives the same bits as halving straight from the
     finest level, and as the reshape-and-sum pairwise reduction."""
-    inc = sample_increment_batch(4, 0, 3, 9, 1.0)
+    inc = _lattice(4, 0, 3, 9, 1.0)
     for a, b in [(1, 1), (2, 3), (4, 1), (0, 5)]:
         direct = coarsen_increments(inc, a + b)
         np.testing.assert_array_equal(coarsen_increments(coarsen_increments(inc, a), b), direct)
         summed = inc
         for _ in range(a + b):
-            summed = summed.reshape(*summed.shape[:-1], -1, 2).sum(axis=-1)
+            summed = summed.reshape(-1, 2, *summed.shape[1:]).sum(axis=1)
         np.testing.assert_array_equal(direct, summed)
 
 
@@ -80,7 +101,7 @@ def test_sampling_allocates_only_its_output():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = sample_increment_batch(8, 0, 256, 12, 1.0)
+        out = _lattice(8, 0, 256, 12, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -88,9 +109,9 @@ def test_sampling_allocates_only_its_output():
 
 
 def test_coarsen_increments_batched():
-    arr = np.arange(8.0).reshape(2, 4)
+    arr = np.arange(8.0).reshape(2, 4).T
     out = coarsen_increments(arr, 1)
-    np.testing.assert_array_equal(out, [[1.0, 5.0], [9.0, 13.0]])
+    np.testing.assert_array_equal(out.T, [[1.0, 5.0], [9.0, 13.0]])
 
 
 def _brownian_nodes(increments, keep_stride=1):
@@ -99,7 +120,7 @@ def _brownian_nodes(increments, keep_stride=1):
     zero = CoefficientFn(lambda t, x: 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
     unit = CoefficientFn(lambda t, x: 1.0 + 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
     model = SdeModel(drift=zero, base_sigma=unit, gamma=0.5, x0=0.0)
-    return euler_batch(model, increments[None, :], 1.0, keep_stride=keep_stride)[0][0]
+    return euler_run(model, increments[:, None], 1.0, keep_stride=keep_stride)[0][0]
 
 
 def test_shared_nodes_agree_bit_exactly_across_levels():
@@ -132,12 +153,12 @@ def test_level_guards():
     with pytest.raises(ValueError):
         coarsen_increments(_path(1, 0, 4, 1.0), -1)
     with pytest.raises(ValueError):
-        sample_increment_batch(1, 0, 1, MAX_LEVEL + 1, 1.0)
+        PathStreams(1, 0, 1, MAX_LEVEL + 1, 1.0)
     with pytest.raises(ValueError):
-        sample_increment_batch(1, 0, 0, 3, 1.0)
+        PathStreams(1, 0, 0, 3, 1.0)
 
 
 def test_horizon_scaling():
-    a = sample_increment_batch(5, 0, 1, 6, 1.0)[0]
-    b = sample_increment_batch(5, 0, 1, 6, 4.0)[0]
+    a = _path(5, 0, 6, 1.0)
+    b = _path(5, 0, 6, 4.0)
     np.testing.assert_allclose(b, 2.0 * a)

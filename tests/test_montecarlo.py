@@ -1,11 +1,14 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from powersde.brownian import derive_seed
+from powersde.brownian import PathStreams, derive_seed, sample_increment_batch
 from powersde.errors import HypothesisError, SimulationAbort
 from powersde.models import CoefficientFn, CoefficientMeta, PrototypeParams, SdeModel, make_prototype
+from powersde.params import AffineParam, SinusoidalParam
 from powersde.montecarlo import (
     ComparisonReport,
     ExperimentConfig,
@@ -15,6 +18,7 @@ from powersde.montecarlo import (
     estimate_strong_error,
     timechange_check,
 )
+from sweeps import euler_run
 
 
 def _const(v):
@@ -269,11 +273,8 @@ class TestWrightFisherContainment:
         )
         r = estimate_strong_error(cfg, workers=1)
         assert np.isfinite(r.errors).all()
-        from powersde.brownian import sample_increment_batch
-        from powersde.schemes import euler_batch
-
-        inc = sample_increment_batch(4, 0, 200, 10, 1.0)
-        kept, bad = euler_batch(wf_model, inc, 1.0)
+        inc = sample_increment_batch(PathStreams(4, 0, 200, 10, 1.0))
+        kept, bad = euler_run(wf_model, inc, 1.0)
         assert np.all(bad < 0)
         assert kept.min() > -0.5
         assert kept.max() < 1.5
@@ -314,3 +315,46 @@ def test_estimator_outputs_are_pinned(cir_model):
     assert [float(e).hex() for e in est.estimates] == ["0x1.5880142887714p+0", "0x1.588c9e5674c61p+0", "0x1.55ebf5ad88305p+0"]
     assert [float(e).hex() for e in est.stderrs] == ["0x1.3984624738cb4p-4", "0x1.43308d984952bp-4", "0x1.3939cf82e0d90p-4"]
     assert est.cap_hits == (0, 0, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timechange_and_comparison_outputs_are_pinned(workers):
+    """Exact reports of a small clock-change and comparison run, with
+    time-dependent kappa and theta, pinned from the batch-per-task kernel
+    that preceded chunked sweeps and wide tasks."""
+    theta = SinusoidalParam(1.0, 0.5, 2 * math.pi)
+    params = PrototypeParams(kind="cir", kappa=AffineParam(1.0, 0.5), lam=1.0, theta=theta, x0=1.0)
+    tc = timechange_check(params, 6, 300, 9, batch_size=64, workers=workers)
+    assert tc.horizon_image.hex() == "0x1.1fffffffffffcp+0"
+    assert tc.mean_original.hex() == "0x1.05b1cda8aa85dp+0"
+    assert tc.mean_changed.hex() == "0x1.f20a82475554dp-1"
+    assert tc.var_original.hex() == "0x1.0c4d73f647944p-2"
+    assert tc.var_changed.hex() == "0x1.e9ea171bf4dfcp-3"
+    assert tc.z_mean.hex() == "0x1.36114cd0b473dp+0"
+    assert tc.z_var.hex() == "0x1.1eca17f953b54p-1"
+    assert tc.threshold.hex() == "0x1.a52ffadd2f906p+1"
+    assert tc.passed is True
+    assert tc.dropped == 0
+    hi = make_prototype(params)
+    lo = make_prototype(dataclasses.replace(params, lam=0.25))
+    rep = comparison_check(lo, hi, 1.0, 7, 300, 3, tolerance=1e-6, batch_size=64, workers=workers)
+    assert (rep.level, rep.paths, rep.dropped, rep.n_violating) == (7, 300, 0, 5)
+    assert rep.tolerance.hex() == "0x1.0c6f7a0b5ed8dp-20"
+    assert rep.max_violation.hex() == "0x1.998e3d81f8108p-6"
+
+
+def test_strong_error_task_holds_a_chunk_not_the_lattice(cir_model):
+    """One strong-error task streams its lattice: the traced peak stays below
+    a quarter of the paths x 2^ref_level float64 lattice it would otherwise
+    hold."""
+    cfg = ExperimentConfig(
+        model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, master_seed=3, batch_size=128
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_strong_error(cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.paths * (1 << cfg.ref_level) * 8 / 4

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from powersde.brownian import sample_increment_batch
+from powersde.brownian import PathStreams, sample_increment_batch
 from powersde.errors import InvalidCoefficientError
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel, eval_diffusion
-from powersde.schemes import euler_batch
+from sweeps import euler_run
+
+
+def _lattice(seed, first_path, n_paths, level, horizon):
+    return sample_increment_batch(PathStreams(seed, first_path, n_paths, level, horizon))
 
 
 def _const(v):
@@ -30,8 +34,8 @@ def ode_model(x0=1.0):
 
 
 def test_two_step_hand_computation(cir_model):
-    dw = sample_increment_batch(4, 0, 1, 1, 1.0)[0]
-    values = euler_batch(cir_model, dw, 1.0)[0][0]
+    dw = _lattice(4, 0, 1, 1, 1.0)[:, 0]
+    values = euler_run(cir_model, dw[:, None], 1.0)[0][0]
     dt = 0.5
     x0 = 1.0
     x1 = x0 + 1.0 * (1.0 - x0) * dt + np.sqrt(max(x0, 0.0)) * dw[0]
@@ -44,16 +48,16 @@ def test_two_step_hand_computation(cir_model):
 def test_additive_noise_reproduces_brownian_path():
     """With a=0 and c=1 the scheme is x0 + W(t_k) up to summation rounding."""
     m = additive_model(x0=0.5)
-    inc = sample_increment_batch(8, 0, 1, 10, 1.0)
-    values = euler_batch(m, inc, 1.0)[0][0]
-    w = np.concatenate([[0.0], np.cumsum(inc[0])])
+    inc = _lattice(8, 0, 1, 10, 1.0)
+    values = euler_run(m, inc, 1.0)[0][0]
+    w = np.concatenate([[0.0], np.cumsum(inc[:, 0])])
     assert np.max(np.abs(values - (0.5 + w))) <= 1e-12
 
 
 def test_deterministic_ode_recursion():
     m = ode_model(x0=1.0)
-    inc = sample_increment_batch(0, 0, 1, 6, 1.0)
-    values = euler_batch(m, inc, 1.0)[0][0]
+    inc = _lattice(0, 0, 1, 6, 1.0)
+    values = euler_run(m, inc, 1.0)[0][0]
     dt = 1.0 / 64
     expected = (1.0 - dt) ** np.arange(65)
     np.testing.assert_allclose(values, expected, rtol=1e-12)
@@ -61,32 +65,32 @@ def test_deterministic_ode_recursion():
 
 def test_keep_stride_matches_full_run():
     m = additive_model()
-    inc = sample_increment_batch(13, 2, 1, 8, 1.0)
-    full, _ = euler_batch(m, inc, 1.0, keep_stride=1)
-    strided, _ = euler_batch(m, inc, 1.0, keep_stride=4)
+    inc = _lattice(13, 2, 1, 8, 1.0)
+    full, _ = euler_run(m, inc, 1.0, keep_stride=1)
+    strided, _ = euler_run(m, inc, 1.0, keep_stride=4)
     np.testing.assert_array_equal(strided[0], full[0, ::4])
 
 
 def test_keep_stride_must_divide_steps():
     m = additive_model()
     with pytest.raises(ValueError):
-        euler_batch(m, np.zeros((1, 8)), 1.0, keep_stride=3)
+        euler_run(m, np.zeros((8, 1)), 1.0, keep_stride=3)
 
 
 def test_batch_rows_are_independent_of_neighbors(cir_model):
-    both = sample_increment_batch(31, 0, 2, 6, 1.0)
-    kept, _ = euler_batch(cir_model, both, 1.0)
-    solo_a, _ = euler_batch(cir_model, both[:1], 1.0)
+    both = _lattice(31, 0, 2, 6, 1.0)
+    kept, _ = euler_run(cir_model, both, 1.0)
+    solo_a, _ = euler_run(cir_model, both[:, :1], 1.0)
     np.testing.assert_array_equal(kept[0], solo_a[0])
 
 
 def test_explosion_freezes_one_path_and_spares_others():
     cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3, CoefficientMeta())
     m = SdeModel(drift=cube, base_sigma=_const(1.0), gamma=0.5, x0=1.0)
-    inc = np.zeros((2, 16))
-    # row 0 starts the recursion from an enormous value via a fake increment
+    inc = np.zeros((16, 2))
+    # path 0 starts the recursion from an enormous value via a fake increment
     inc[0, 0] = 1e200
-    kept, first_bad = euler_batch(m, inc, 1.0)
+    kept, first_bad = euler_run(m, inc, 1.0)
     assert first_bad[0] > 0
     assert first_bad[1] == -1
     assert np.isnan(kept[0, -1])
@@ -96,13 +100,13 @@ def test_explosion_freezes_one_path_and_spares_others():
 def test_explosion_index_surfaces_on_trajectory():
     cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 5, CoefficientMeta())
     m = SdeModel(drift=cube, base_sigma=_const(0.0), gamma=0.5, x0=1e80)
-    kept, first_bad = euler_batch(m, sample_increment_batch(1, 0, 1, 4, 1.0), 1.0)
+    kept, first_bad = euler_run(m, _lattice(1, 0, 1, 4, 1.0), 1.0)
     assert first_bad[0] >= 0
     assert np.isnan(kept[0, -1])
 
 
 def test_cir_paths_stay_finite(cir_model):
-    kept, first_bad = euler_batch(cir_model, sample_increment_batch(77, 0, 1, 10, 1.0), 1.0)
+    kept, first_bad = euler_run(cir_model, _lattice(77, 0, 1, 10, 1.0), 1.0)
     assert np.isfinite(kept).all()
     assert first_bad[0] == -1
 
@@ -117,7 +121,7 @@ def test_nonfinite_sigma_is_a_bad_coefficient_not_an_explosion():
 
     m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.0)
     with pytest.raises(InvalidCoefficientError) as exc_info:
-        euler_batch(m, np.zeros((2, 8)), 1.0)
+        euler_run(m, np.zeros((8, 2)), 1.0)
     assert exc_info.value.t == pytest.approx(1.0 / 8)
     assert exc_info.value.x == pytest.approx(-1.0 / 8)
 
@@ -134,6 +138,46 @@ def test_negative_infinite_sigma_is_a_bad_coefficient_not_a_zero():
     with pytest.raises(InvalidCoefficientError):
         eval_diffusion(m, 0.0, 0.1)
     with pytest.raises(InvalidCoefficientError) as exc_info:
-        euler_batch(m, sample_increment_batch(3, 0, 2, 3, 1.0), 1.0)
+        euler_run(m, _lattice(3, 0, 2, 3, 1.0), 1.0)
     assert exc_info.value.t == 0.0
     assert exc_info.value.x == 0.1
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8, 64, 256])
+def test_sweep_over_any_chunking_equals_one_full_sweep(cir_model, chunk):
+    """Advancing a sweep chunk by chunk keeps the same nodes and first_bad,
+    bit for bit, whatever the power-of-two chunk length; an explosion in a
+    later chunk reports its global node."""
+    inc = _lattice(41, 0, 6, 8, 1.0)
+    # a kick at step 37 sends path 4 non-finite at node 39, mid-run
+    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3, CoefficientMeta())
+    exploding = SdeModel(drift=cube, base_sigma=_const(1.0), gamma=0.5, x0=0.0)
+    spiked = inc * 0.01
+    spiked[37, 4] = 1e200
+    for model, lattice in ((cir_model, inc), (exploding, spiked)):
+        for stride in (1, 4):
+            full, full_bad = euler_run(model, lattice, 1.0, keep_stride=stride)
+            chunked, chunked_bad = euler_run(model, lattice, 1.0, keep_stride=stride, chunk=chunk)
+            np.testing.assert_array_equal(chunked, full)
+            np.testing.assert_array_equal(chunked_bad, full_bad)
+    assert euler_run(exploding, spiked, 1.0, chunk=chunk)[1][4] == 39
+
+
+def test_bad_sigma_in_a_later_chunk_reports_its_global_time():
+    """A bad sigma met in a later chunk reports the same (t, x) as one full
+    sweep does, with t at its global step."""
+
+    def sigma(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, np.nan, 1.0)
+
+    # x_k = 0.3 - k/64 first goes negative at k = 20, in the third 8-step chunk
+    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.3)
+    errors = []
+    for chunk in (None, 8):
+        with pytest.raises(InvalidCoefficientError) as exc_info:
+            euler_run(m, np.zeros((64, 2)), 1.0, chunk=chunk)
+        errors.append((exc_info.value.t, exc_info.value.x))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 20 / 64
+    assert errors[0][1] < 0.0
