@@ -13,7 +13,8 @@ Subcommands map one-to-one onto the estimators and criteria:
 Every subcommand takes ``--config FILE`` plus overrides (``--paths``,
 ``--seed``, ``--levels a:b``, ``--ref-level``, ``--out``), ``--workers``
 (env fallback ``HE_WORKERS``) and ``--dry-run``.  Exit codes: 0 success,
-2 simulation abort, 3 config error, 4 hypothesis failure.
+2 simulation abort, 3 config error, 4 hypothesis failure, 5 invalid
+coefficient.
 
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
@@ -39,7 +40,7 @@ from .config import (
     resolve_config,
 )
 from .criteria import autonomous_from_prototype, feller_test, ito_criterion, predict_rate
-from .errors import ConfigError, HypothesisError, SimulationAbort
+from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
     ExperimentConfig,
     comparison_check,
@@ -84,16 +85,18 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def cmd_converge(cfg: RunConfig, args) -> int:
     workers = _resolve_workers(args)
-    exp = ExperimentConfig(
-        model=cfg.model,
-        horizon=cfg.horizon,
-        levels=cfg.levels,
-        ref_level=cfg.ref_level,
-        paths=cfg.paths,
-        master_seed=derive_seed(cfg.seed, "converge"),
-        batch_size=cfg.batch_size,
-        on_explosion=cfg.on_explosion,
-    )
+    try:
+        exp = ExperimentConfig(
+            model=cfg.model,
+            horizon=cfg.horizon,
+            levels=cfg.levels,
+            ref_level=cfg.ref_level,
+            paths=cfg.paths,
+            master_seed=derive_seed(cfg.seed, "converge"),
+            on_explosion=cfg.on_explosion,
+        )
+    except ValueError as exc:  # the reference gap rule or the memory guard
+        raise ConfigError(f"[experiment] {exc}")
     report = estimate_strong_error(exp, workers=workers)
 
     predicted = None
@@ -167,7 +170,6 @@ def cmd_moments(cfg: RunConfig, args) -> int:
         derive_seed(cfg.seed, "moments"),
         cap=cfg.cap,
         growth_factor=cfg.growth_factor,
-        batch_size=cfg.batch_size,
         on_explosion=cfg.on_explosion,
         workers=workers,
     )
@@ -252,7 +254,6 @@ def cmd_timechange(cfg: RunConfig, args) -> int:
         cfg.paths,
         derive_seed(cfg.seed, "timechange"),
         significance=cfg.significance,
-        batch_size=cfg.batch_size,
         on_explosion=cfg.on_explosion,
         workers=workers,
     )
@@ -298,7 +299,6 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             cfg.paths,
             seed,
             tolerance=cfg.tolerance,
-            batch_size=cfg.batch_size,
             on_explosion=cfg.on_explosion,
             workers=workers,
         )
@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 4
+    except InvalidCoefficientError as exc:
+        print(f"invalid coefficient: {exc}", file=sys.stderr)
+        return 5
 
 
 def run() -> None:

@@ -35,7 +35,7 @@ from .models import (
     SdeModel,
     make_prototype,
 )
-from .montecarlo import REF_GAP
+from .montecarlo import BLOCK_PATHS
 from .params import AffineParam, ConstantParam, SinusoidalParam
 
 __all__ = [
@@ -154,8 +154,8 @@ def _get_int(sec, section, key, default=None):
 
 
 _MODEL_KEYS = {"kind", "kappa", "lam", "theta", "x0", "gamma", "horizon", "drift", "sigma", "domain"}
-_EXPERIMENT_KEYS = {"levels", "ref_level", "paths", "seed", "batch_size", "on_explosion"}
-_CONDITION_KEYS = {"s", "epsilon", "q", "cap", "growth_factor", "tolerance", "significance"}
+_EXPERIMENT_KEYS = {"levels", "ref_level", "paths", "seed", "on_explosion"}
+_CONDITION_KEYS = {"s", "q", "cap", "growth_factor", "tolerance", "significance"}
 _OUTPUT_KEYS = {"out", "plot"}
 _SECTION_KEYS = {
     "model": _MODEL_KEYS,
@@ -163,6 +163,11 @@ _SECTION_KEYS = {
     "experiment": _EXPERIMENT_KEYS,
     "condition": _CONDITION_KEYS,
     "output": _OUTPUT_KEYS,
+}
+# keys earlier versions accepted, and why they are gone
+_REMOVED_KEYS = {
+    ("experiment", "batch_size"): f"paths are summed in fixed blocks of {BLOCK_PATHS}",
+    ("condition", "epsilon"): "no command read it",
 }
 
 
@@ -179,10 +184,7 @@ class RunConfig:
     ref_level: int
     paths: int
     seed: int
-    batch_size: int
     on_explosion: str
-    s_exponent: Optional[float]
-    epsilon: float
     q: Optional[float]
     cap: Optional[float]
     growth_factor: float
@@ -212,6 +214,8 @@ def load_config(path: Optional[str]) -> dict:
             raise ConfigError(f"[{section}]: unknown section (expected model, model_hi, experiment, condition, output)")
         raw[section] = {}
         for key, value in parser.items(section):
+            if (section, key) in _REMOVED_KEYS:
+                raise ConfigError(f"[{section}] {key}: this key was removed ({_REMOVED_KEYS[section, key]})")
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
             raw[section][key] = value
@@ -309,30 +313,19 @@ def resolve_config(raw: dict) -> RunConfig:
     if not levels or levels[0] < 0:
         raise ConfigError("[experiment] levels: must be nonnegative and nonempty")
     ref_level = _get_int(sec, "experiment", "ref_level", 13)
-    if ref_level < max(levels) + REF_GAP:
-        raise ConfigError(
-            f"[experiment] ref_level: the reference gap rule requires "
-            f"ref_level >= max(levels) + {REF_GAP} = {max(levels) + REF_GAP}, got {ref_level}"
-        )
     paths = _get_int(sec, "experiment", "paths", 10000)
     if paths < 1:
         raise ConfigError("[experiment] paths: must be at least 1")
     seed = _get_int(sec, "experiment", "seed", 0)
-    batch_size = _get_int(sec, "experiment", "batch_size", 512)
-    if batch_size < 1:
-        raise ConfigError("[experiment] batch_size: must be at least 1")
     on_explosion = sec.get("on_explosion", "abort").strip().lower()
     if on_explosion not in ("abort", "drop"):
         raise ConfigError("[experiment] on_explosion: must be 'abort' or 'drop'")
 
     sec = raw.get("condition", {})
-    s_exponent = _get_float(sec, "condition", "s", math.nan)
-    s_exponent = None if math.isnan(s_exponent) else s_exponent
-    epsilon = _get_float(sec, "condition", "epsilon", 1e-3)
     q = _get_float(sec, "condition", "q", math.nan)
+    if math.isnan(q):  # derived from s when s is given
+        q = 2.0 * (model.gamma + _get_float(sec, "condition", "s", math.nan) - 1.0)
     q = None if math.isnan(q) else q
-    if q is None and s_exponent is not None:
-        q = 2.0 * (model.gamma + s_exponent - 1.0)
     if q is not None and q > 0.0:
         raise ConfigError("[condition] q: must be nonpositive")
     cap = None
@@ -364,10 +357,7 @@ def resolve_config(raw: dict) -> RunConfig:
         ref_level=ref_level,
         paths=paths,
         seed=seed,
-        batch_size=batch_size,
         on_explosion=on_explosion,
-        s_exponent=s_exponent,
-        epsilon=epsilon,
         q=q,
         cap=cap,
         growth_factor=growth_factor,
@@ -390,7 +380,6 @@ def format_resolved(raw: dict) -> str:
     exp.setdefault("ref_level", str(cfg.ref_level))
     exp.setdefault("paths", str(cfg.paths))
     exp.setdefault("seed", str(cfg.seed))
-    exp.setdefault("batch_size", str(cfg.batch_size))
     exp.setdefault("on_explosion", cfg.on_explosion)
     for section in ("model", "model_hi", "experiment", "condition", "output"):
         if section not in filled:

@@ -10,12 +10,18 @@ class ConfigError(PowerSdeError):
 
 
 class InvalidCoefficientError(PowerSdeError):
-    """A coefficient returned a non-finite value for finite input."""
+    """A coefficient returned a non-finite value for finite input.
 
-    def __init__(self, message, t=None, x=None):
+    order, set by the Euler kernel, is (chunk, sweep rank, step, path) of
+    the bad node: errors met in different path ranges sort by it into the
+    order one sweep over all of them would meet them.
+    """
+
+    def __init__(self, message, t=None, x=None, order=None):
         super().__init__(message)
         self.t = t
         self.x = x
+        self.order = order
 
 
 class HypothesisError(PowerSdeError):

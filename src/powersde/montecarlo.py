@@ -4,21 +4,23 @@ pathwise comparison and clock-change distribution checks.
 Determinism contract
 --------------------
 Every estimator is a simulate/reduce pair run by one engine, _map_paths.
-Paths are split into fixed blocks of batch_size; block i always covers the
-same path indices.  A task is a run of whole blocks, about TASK_PATHS paths
-wide, swept together one time chunk at a time; each block is then reduced
-on its own, exactly as if it had been simulated alone, and the engine folds
-the block partials in block-index order.  Every block partial is a pure function
-of (seed, block index), so results are byte-identical for any worker count,
-including the serial fallback, and for any grouping of blocks into tasks.  A
-different batch size regroups the partial sums, which moves results by
-rounding only.
+Paths are split into fixed blocks of BLOCK_PATHS; block i always covers the
+same path indices, and no setting changes the blocks.  A task is a run of
+whole blocks, about TASK_PATHS paths wide, swept together one time chunk at
+a time; each block is then reduced on its own, exactly as if it had been
+simulated alone, and the engine folds the block partials in block-index
+order.  Every block partial is a pure function of (seed, block index), so
+results are byte-identical for any worker count, including the serial
+fallback, and for any grouping of blocks into tasks.
 
 Each estimator tabulates its grids' time-only coefficient parts in the
 calling process before dispatch, so workers inherit the tables.  Within a
-task the sweeps advance through each chunk in a fixed order (reference
-first, then coarser levels), so when several sweeps meet a bad coefficient,
-the error raised is the first one in that order.
+task the sweeps advance through each chunk in a fixed order, their rank
+(reference first, then coarser levels).  A task that meets a bad
+coefficient stops and hands back the error, keyed by (chunk, sweep rank,
+step, path); the engine raises the error with the smallest key, which is
+the one a single task over all paths would raise, so the reported (t, x)
+does not depend on the worker count or the task width either.
 
 Explosion policy
 ----------------
@@ -42,7 +44,7 @@ from scipy.special import ndtri
 
 from .brownian import MAX_LEVEL, PathStreams, coarsen_increments, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
-from .errors import HypothesisError, SimulationAbort
+from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from .models import PrototypeParams, SdeModel, make_prototype
 from .schemes import EulerGrid, EulerSweep, euler_batch
 
@@ -58,7 +60,7 @@ __all__ = [
     "timechange_check",
 ]
 
-DEFAULT_BATCH = 512
+BLOCK_PATHS = 512  # paths per accumulation block
 REF_GAP = 4
 Z_SIGNIFICANCE = 1e-3
 TASK_PATHS = 4096  # paths one task sweeps together, in whole blocks
@@ -97,20 +99,20 @@ def _add_partials(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _task_runs(n_blocks: int, batch_size: int, workers: int) -> list[int]:
+def _task_runs(n_blocks: int, workers: int) -> list[int]:
     """Block indices cutting the blocks into balanced runs, one per task.
 
     Runs hold about TASK_PATHS paths at most (one block when a block is
     wider), and their number is a multiple of the worker count when there
     are enough blocks, so the workers get even shares.
     """
-    per_task = max(1, TASK_PATHS // batch_size)
+    per_task = max(1, TASK_PATHS // BLOCK_PATHS)
     n_tasks = -(-n_blocks // per_task)
     n_tasks = min(n_blocks, -(-n_tasks // workers) * workers)
     return [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
 
 
-def _map_paths(simulate, reduce_block, paths, batch_size, workers, on_explosion, merge=_add_partials):
+def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
     """Simulate runs of fixed path blocks and merge their block partials in
     block order.
 
@@ -122,24 +124,34 @@ def _map_paths(simulate, reduce_block, paths, batch_size, workers, on_explosion,
     over the block's surviving paths, reduced inside the worker, and n_bad
     counts the block's paths that went non-finite.  Partials are folded left
     to right in block-index order with merge (slotwise addition by default).
-    Returns (total, dropped).
+    Returns (total, dropped).  Of the bad coefficients the tasks meet, the
+    one first in order (path being the global index) is raised.
     """
     if on_explosion not in ("abort", "drop"):
         raise ValueError("on_explosion must be 'abort' or 'drop'")
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, int(workers))
-    n_blocks = -(-paths // batch_size)
-    cuts = _task_runs(n_blocks, batch_size, workers)
-    width = max(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)) * batch_size
+    n_blocks = -(-paths // BLOCK_PATHS)
+    cuts = [min(cut * BLOCK_PATHS, paths) for cut in _task_runs(n_blocks, workers)]
+    width = max(b - a for a, b in zip(cuts, cuts[1:]))
 
     def task(i):
-        p0 = cuts[i] * batch_size
-        n = min(cuts[i + 1] * batch_size, paths) - p0
-        results = simulate(p0, n, width)
-        return [reduce_block(results, slice(q, min(q + batch_size, n))) for q in range(0, n, batch_size)]
+        p0 = cuts[i]
+        n = cuts[i + 1] - p0
+        try:
+            results = simulate(p0, n, width)
+        except InvalidCoefficientError as exc:
+            chunk, rank, step, path = exc.order
+            exc.order = (chunk, rank, step, p0 + path)
+            return exc
+        return [reduce_block(results, slice(q, min(q + BLOCK_PATHS, n))) for q in range(0, n, BLOCK_PATHS)]
 
-    partials = [block for run in _run_batches(task, len(cuts) - 1, workers) for block in run]
+    runs = _run_batches(task, len(cuts) - 1, workers)
+    failures = [run for run in runs if isinstance(run, InvalidCoefficientError)]
+    if failures:
+        raise min(failures, key=lambda exc: exc.order)
+    partials = [block for run in runs for block in run]
     dropped = sum(n_bad for _, n_bad in partials)
     if dropped and on_explosion == "abort":
         raise SimulationAbort(
@@ -193,7 +205,6 @@ class ExperimentConfig:
     ref_level: int
     paths: int
     master_seed: int
-    batch_size: int = DEFAULT_BATCH
     on_explosion: str = "abort"
 
     def __post_init__(self):
@@ -205,15 +216,13 @@ class ExperimentConfig:
             raise ValueError("levels must be nonnegative")
         if self.ref_level < max(levels) + REF_GAP:
             raise ValueError(
-                f"ref_level must be at least max(levels) + {REF_GAP} "
-                f"(= {max(levels) + REF_GAP}), got {self.ref_level}"
+                f"ref_level: the reference gap rule requires ref_level >= "
+                f"max(levels) + {REF_GAP} = {max(levels) + REF_GAP}, got {self.ref_level}"
             )
         if self.ref_level > MAX_LEVEL:
             raise ValueError(f"ref_level {self.ref_level} exceeds the memory guard {MAX_LEVEL}")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
         if self.on_explosion not in ("abort", "drop"):
@@ -298,9 +307,10 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     def simulate(p0, b, width):
         streams = PathStreams(config.master_seed, p0, b, config.ref_level, T)
         ref_sweep = EulerSweep(ref_grid, b, keep_stride=ref_stride)
-        sweeps = [EulerSweep(grid, b) for grid in grids]
+        # run finest first, right after the reference
+        sweeps = [EulerSweep(grid, b, rank=len(grids) - i) for i, grid in enumerate(grids)]
         # |reference - scheme| at every node of each level, path-major so a
-        # block's path sums add row after row as a batch-sized run would;
+        # block's path sums add row after row as a one-block run would;
         # node 0 is x0 on both, a zero error
         diffs = [np.zeros((b, (1 << level) + 1)) for level in levels]
         for inc in _chunks(streams, chunk, width):
@@ -327,9 +337,7 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
             sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
         return tuple(sums), int(bad[block].sum())
 
-    sums, dropped = _map_paths(
-        simulate, reduce_block, config.paths, config.batch_size, workers, config.on_explosion
-    )
+    sums, dropped = _map_paths(simulate, reduce_block, config.paths, workers, config.on_explosion)
     m_eff = config.paths - dropped
 
     errors, stderrs, argmaxes = [], [], []
@@ -416,7 +424,6 @@ def estimate_inverse_moment(
     seed: int,
     cap: Optional[float] = None,
     growth_factor: float = 1.2,
-    batch_size: int = DEFAULT_BATCH,
     on_explosion: str = "abort",
     workers: Optional[int] = None,
 ) -> MomentEstimate:
@@ -462,7 +469,8 @@ def estimate_inverse_moment(
 
     def simulate(p0, b, width):
         streams = PathStreams(seed, p0, b, ref_level, horizon)
-        sweeps = [EulerSweep(grid, b) for grid in grids]
+        # run finest first
+        sweeps = [EulerSweep(grid, b, rank=len(grids) - 1 - i) for i, grid in enumerate(grids)]
         # the node before each sweep's next chunk: x_{k0}, the first left end
         last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
         chunk_sums = [[] for _ in ref_levels]
@@ -498,7 +506,7 @@ def estimate_inverse_moment(
             sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[block].sum())]
         return tuple(sums), int(bad[block].sum())
 
-    sums, dropped = _map_paths(simulate, reduce_block, paths, batch_size, workers, on_explosion)
+    sums, dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
     m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
@@ -566,7 +574,6 @@ def comparison_check(
     paths: int,
     seed: int,
     tolerance: float = 1e-3,
-    batch_size: int = DEFAULT_BATCH,
     on_explosion: str = "abort",
     workers: Optional[int] = None,
 ) -> ComparisonReport:
@@ -601,7 +608,7 @@ def comparison_check(
     def simulate(p0, b, width):
         streams = PathStreams(seed, p0, b, level, horizon)
         lo = EulerSweep(grid_lo, b)
-        hi = EulerSweep(grid_hi, b)
+        hi = EulerSweep(grid_hi, b, rank=1)
         # each path's smallest gap over all nodes, node 0 included; min is
         # exact, so taking it chunk by chunk changes no bit
         worst = np.full(b, float(model_hi.x0) - float(model_lo.x0))
@@ -622,7 +629,7 @@ def comparison_check(
         return a[0] + b[0], max(a[1], b[1])
 
     (n_violating, max_violation), dropped = _map_paths(
-        simulate, reduce_block, paths, batch_size, workers, on_explosion, merge
+        simulate, reduce_block, paths, workers, on_explosion, merge
     )
     return ComparisonReport(
         level=level,
@@ -660,7 +667,7 @@ class TimeChangeReport:
     dropped: int
 
 
-def _endpoint_moments(model, horizon, level, paths, seed, batch_size, workers, on_explosion):
+def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion):
     grid = EulerGrid(model, horizon, 1 << level)
     chunk = _chunk_steps(level, level)
 
@@ -677,9 +684,7 @@ def _endpoint_moments(model, horizon, level, paths, seed, batch_size, workers, o
         powers = (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
         return powers, len(end[block]) - len(good)
 
-    (s1, s2, s3, s4), dropped = _map_paths(
-        simulate, reduce_block, paths, batch_size, workers, on_explosion
-    )
+    (s1, s2, s3, s4), dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
     m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2
@@ -694,7 +699,6 @@ def timechange_check(
     paths: int,
     seed: int,
     significance: float = Z_SIGNIFICANCE,
-    batch_size: int = DEFAULT_BATCH,
     on_explosion: str = "abort",
     workers: Optional[int] = None,
 ) -> TimeChangeReport:
@@ -713,10 +717,10 @@ def timechange_check(
     changed = time_changed_model(params, tc)
 
     m_x, mean_x, var_x, m4_x = _endpoint_moments(
-        model, params.horizon, level, paths, derive_seed(seed, "original"), batch_size, workers, on_explosion
+        model, params.horizon, level, paths, derive_seed(seed, "original"), workers, on_explosion
     )
     m_y, mean_y, var_y, m4_y = _endpoint_moments(
-        changed, tc.horizon_image, level, paths, derive_seed(seed, "changed"), batch_size, workers, on_explosion
+        changed, tc.horizon_image, level, paths, derive_seed(seed, "changed"), workers, on_explosion
     )
 
     se_mean = math.sqrt(var_x / m_x + var_y / m_y)

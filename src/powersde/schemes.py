@@ -57,14 +57,17 @@ class EulerSweep:
 
     x holds the current node of every path (0.0 on frozen paths), step the
     global index of the next step, and first_bad[i] the first node index at
-    which path i went non-finite, or -1.
+    which path i went non-finite, or -1.  rank is the sweep's place among
+    the sweeps that advance through the same chunks, lowest first; it only
+    orders their bad-coefficient errors.
     """
 
-    def __init__(self, grid: EulerGrid, n_paths: int, keep_stride: int = 1):
+    def __init__(self, grid: EulerGrid, n_paths: int, keep_stride: int = 1, rank: int = 0):
         if keep_stride < 1 or grid.n_steps % keep_stride != 0:
             raise ValueError("keep_stride must divide the step count")
         self.grid = grid
         self.keep_stride = keep_stride
+        self.rank = rank
         self.x = np.full(n_paths, float(grid.model.x0))
         self.first_bad = np.full(n_paths, -1, dtype=np.int64)
         self.step = 0
@@ -113,9 +116,14 @@ def euler_batch(sweep: EulerSweep, increments: np.ndarray) -> np.ndarray:
                 bad_sig = alive & ~np.isfinite(sig)
                 if bad_sig.any():
                     t = k * dt
-                    x_bad = float(x[np.argmax(bad_sig)])
+                    i = int(np.argmax(bad_sig))
+                    x_bad = float(x[i])
                     raise InvalidCoefficientError(
-                        f"base sigma returned a non-finite value at (t={t}, x={x_bad})", t=t, x=x_bad
+                        f"base sigma returned a non-finite value at (t={t}, x={x_bad})",
+                        t=t,
+                        x=x_bad,
+                        # a sweep's chunks are equal, so k0 // n numbers this one
+                        order=(k0 // n, sweep.rank, k, i),
                     )
                 newly = alive & ~finite
                 if newly.any():

@@ -5,9 +5,12 @@ files can be asserted without spawning subprocesses.  Workloads are
 kept tiny; statistical quality is covered elsewhere.
 """
 
+import numpy as np
 import pytest
 
 from powersde import cli
+from powersde.config import BUILTIN_COEFFICIENTS
+from powersde.models import CoefficientFn, CoefficientMeta
 
 
 def run(argv):
@@ -160,6 +163,13 @@ class TestMoments:
         assert "q=-1" in line
         assert "ref_level=8" in line
 
+    def test_reference_gap_rule_is_left_to_converge(self, tmp_path, capsys):
+        # moments reads ref_level but not levels, so the default 4:9 is no bar
+        cfg = write_ini(tmp_path, "[experiment]\npaths = 32\n[condition]\nq = -1\n")
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--config", cfg, "--ref-level", "8", "--out", str(out)]) == 0
+        assert "ref_level=8" in capsys.readouterr().out
+
 
 class TestFeller:
     def test_cir_no_exit(self, tmp_path, capsys):
@@ -265,6 +275,19 @@ class TestPlumbing:
 
     def test_missing_config_file_exits_3(self, capsys):
         assert run(["converge", "--config", "/no/such/file.ini"]) == 3
+
+    @pytest.mark.parametrize("section,key", [("experiment", "batch_size"), ("condition", "epsilon")])
+    def test_removed_key_exits_3(self, tmp_path, capsys, section, key):
+        cfg = write_ini(tmp_path, f"[{section}]\n{key} = 64\n")
+        assert run(["converge", "--config", cfg]) == 3
+        assert f"{key}: this key was removed" in capsys.readouterr().err
+
+    def test_invalid_coefficient_exits_5(self, tmp_path, monkeypatch, capsys):
+        nan = CoefficientFn(lambda t, x: np.full(np.shape(x), np.nan), CoefficientMeta(), "nan")
+        monkeypatch.setitem(BUILTIN_COEFFICIENTS, "nan", nan)
+        cfg = write_ini(tmp_path, SMALL + "\n[model]\nkind = custom\ndrift = zero\nsigma = nan\n")
+        assert run(["converge", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 5
+        assert "invalid coefficient: base sigma returned a non-finite value" in capsys.readouterr().err
 
     def test_env_worker_fallback(self, tmp_path, monkeypatch):
         cfg = write_ini(tmp_path, SMALL)

@@ -10,6 +10,7 @@ from powersde.config import (
     resolve_config,
 )
 from powersde.errors import ConfigError
+from powersde.montecarlo import ExperimentConfig
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
 
 
@@ -105,10 +106,26 @@ seed = 9
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
 
+    @pytest.mark.parametrize("section,key", [("experiment", "batch_size"), ("condition", "epsilon")])
+    def test_removed_keys_say_so(self, tmp_path, section, key):
+        path = write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"{key}: this key was removed"):
+            load_config(path)
+
     def test_gap_rule_names_itself(self):
-        raw = {"experiment": {"levels": "4:9", "ref_level": "10"}}
-        with pytest.raises(ConfigError, match="gap rule"):
-            resolve_config(raw)
+        # only converge reads both levels and ref_level, so the config resolves
+        # and the ExperimentConfig that converge builds enforces the rule
+        cfg = resolve_config({"experiment": {"levels": "4:9", "ref_level": "10"}})
+        assert (cfg.levels[-1], cfg.ref_level) == (9, 10)
+        with pytest.raises(ValueError, match="gap rule"):
+            ExperimentConfig(
+                model=cfg.model,
+                horizon=cfg.horizon,
+                levels=cfg.levels,
+                ref_level=cfg.ref_level,
+                paths=cfg.paths,
+                master_seed=cfg.seed,
+            )
 
     def test_override_merging(self):
         raw = {"experiment": {"seed": "1", "paths": "10"}}

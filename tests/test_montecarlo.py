@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from powersde.brownian import PathStreams, derive_seed, sample_increment_batch
-from powersde.errors import HypothesisError, SimulationAbort
+from powersde.errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from powersde.models import CoefficientFn, CoefficientMeta, PrototypeParams, SdeModel, make_prototype
 from powersde.params import AffineParam, SinusoidalParam
+from powersde import montecarlo
 from powersde.montecarlo import (
     ComparisonReport,
     ExperimentConfig,
@@ -43,7 +44,6 @@ def small_config(model, **kw):
         ref_level=10,
         paths=256,
         master_seed=11,
-        batch_size=64,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -51,7 +51,7 @@ def small_config(model, **kw):
 
 class TestExperimentConfig:
     def test_gap_rule(self, cir_model):
-        with pytest.raises(ValueError, match="ref_level"):
+        with pytest.raises(ValueError, match="ref_level: the reference gap rule"):
             ExperimentConfig(
                 model=cir_model, horizon=1.0, levels=(4, 9), ref_level=10, paths=10, master_seed=0
             )
@@ -70,7 +70,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("paths", 0), ("batch_size", 0), ("horizon", 0.0), ("on_explosion", "ignore")],
+        [("paths", 0), ("horizon", 0.0), ("on_explosion", "ignore")],
     )
     def test_invalid_fields(self, cir_model, field, value):
         kw = dict(
@@ -90,13 +90,6 @@ class TestStrongError:
         np.testing.assert_array_equal(r1.stderrs, r3.stderrs)
         assert r1.lambda_hat == r3.lambda_hat
         assert r1.argmax_nodes == r3.argmax_nodes
-
-    def test_batch_size_only_reorders_the_summation(self, cir_model):
-        # byte-identity is promised per worker count, not per batch size:
-        # regrouping the partial sums moves the result by rounding only
-        a = estimate_strong_error(small_config(cir_model, batch_size=64), workers=1)
-        b = estimate_strong_error(small_config(cir_model, batch_size=100), workers=1)
-        np.testing.assert_allclose(a.errors, b.errors, rtol=1e-12)
 
     def test_additive_noise_has_no_discretization_error(self):
         m = SdeModel(drift=_const(0.0), base_sigma=_const(1.0), gamma=0.5, x0=0.0)
@@ -179,7 +172,36 @@ class TestExplosionPolicy:
 
     def test_endpoint_moments_with_no_survivors_aborts(self):
         with pytest.raises(SimulationAbort, match="every path exploded"):
-            _endpoint_moments(infinite_drift_model(), 1.0, 4, 16, 0, 8, 1, "drop")
+            _endpoint_moments(infinite_drift_model(), 1.0, 4, 16, 0, 1, "drop")
+
+
+def nan_above_model(barrier=1.05):
+    """Driftless, sigma = 1 up to barrier and NaN above it: a bad
+    coefficient that many paths meet in the first steps."""
+
+    def sigma(t, x):
+        return np.where(np.asarray(x, dtype=float) > barrier, np.nan, 1.0)
+
+    return SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=1.0)
+
+
+def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
+    """Both tasks of a 2-worker run meet a NaN sigma at the same step; the
+    error raised is the one a single task over all paths meets first, not
+    whichever task finishes first."""
+    cfg = ExperimentConfig(
+        model=nan_above_model(), horizon=1.0, levels=(2, 3, 4), ref_level=8, paths=2048, master_seed=7
+    )
+
+    def reported(workers):
+        with pytest.raises(InvalidCoefficientError) as exc_info:
+            estimate_strong_error(cfg, workers=workers)
+        return exc_info.value.t, exc_info.value.x
+
+    serial = reported(1)
+    assert [reported(2) for _ in range(8)] == [serial] * 8
+    monkeypatch.setattr(montecarlo, "TASK_PATHS", 512)
+    assert reported(1) == serial
 
 
 class TestInverseMoment:
@@ -280,23 +302,47 @@ class TestWrightFisherContainment:
         assert kept.max() < 1.5
 
 
+# three 512-path blocks, the last one partial
+MULTI_BLOCK_PATHS = 1200
+
+
 def _run_estimator(name, model, params, workers):
+    n = MULTI_BLOCK_PATHS
     if name == "strong_error":
-        return estimate_strong_error(small_config(model), workers=workers)
+        return estimate_strong_error(small_config(model, paths=n), workers=workers)
     if name == "inverse_moment":
-        return estimate_inverse_moment(model, -1.0, 1.0, 9, 128, 5, batch_size=32, workers=workers)
+        return estimate_inverse_moment(model, -1.0, 1.0, 9, n, 5, workers=workers)
     if name == "comparison":
         lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
-        return comparison_check(lo, model, 1.0, 7, 256, 3, tolerance=1e-6, batch_size=64, workers=workers)
-    return timechange_check(params, 6, 400, 9, batch_size=64, workers=workers)
+        return comparison_check(lo, model, 1.0, 7, n, 3, tolerance=1e-6, workers=workers)
+    return timechange_check(params, 6, n, 9, workers=workers)
 
 
-@pytest.mark.parametrize("name", ["strong_error", "inverse_moment", "comparison", "timechange"])
+def _assert_same_report(a, b):
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name), err_msg=field.name)
+
+
+ESTIMATORS = ["strong_error", "inverse_moment", "comparison", "timechange"]
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
 def test_reports_are_identical_for_any_worker_count(cir_model, cir_params, name):
     one = _run_estimator(name, cir_model, cir_params, 1)
     three = _run_estimator(name, cir_model, cir_params, 3)
-    for field in dataclasses.fields(one):
-        np.testing.assert_array_equal(getattr(one, field.name), getattr(three, field.name), err_msg=field.name)
+    _assert_same_report(one, three)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_reports_are_identical_for_any_task_width(monkeypatch, cir_model, cir_params, name):
+    """Cutting the three blocks into tasks of 3, 2+1 or 1+1+1 blocks changes
+    no bit.  At 1 worker, TASK_PATHS 4096, 1024 and 512 give those three
+    layouts; at 3 workers every TASK_PATHS gives 1+1+1, the pooled layout
+    compared with the serial one above."""
+    base = _run_estimator(name, cir_model, cir_params, 1)
+    for task_paths in (512, 1024):
+        monkeypatch.setattr(montecarlo, "TASK_PATHS", task_paths)
+        _assert_same_report(base, _run_estimator(name, cir_model, cir_params, 1))
 
 
 def test_estimator_outputs_are_pinned(cir_model):
@@ -304,43 +350,43 @@ def test_estimator_outputs_are_pinned(cir_model):
     to sampling, coarsening, the kernel or the merge order that moves any
     bit shows up here."""
     cfg = ExperimentConfig(
-        model=cir_model, horizon=1.0, levels=(3, 4, 5), ref_level=9, paths=96, master_seed=11, batch_size=32
+        model=cir_model, horizon=1.0, levels=(3, 4, 5), ref_level=9, paths=96, master_seed=11
     )
     r = estimate_strong_error(cfg, workers=1)
-    assert [float(e).hex() for e in r.errors] == ["0x1.28fa4c4ac92fbp-4", "0x1.afb417476e547p-5", "0x1.28938c6ddb951p-5"]
-    assert [float(e).hex() for e in r.stderrs] == ["0x1.7eb64cb032027p-8", "0x1.06d216b65233ep-8", "0x1.7014624846ed6p-9"]
-    assert r.lambda_hat.hex() == "0x1.007fde5b1a0c2p-1"
+    assert [float(e).hex() for e in r.errors] == ["0x1.28fa4c4ac92fbp-4", "0x1.afb417476e545p-5", "0x1.28938c6ddb94dp-5"]
+    assert [float(e).hex() for e in r.stderrs] == ["0x1.7eb64cb032027p-8", "0x1.06d216b652340p-8", "0x1.7014624846ee3p-9"]
+    assert r.lambda_hat.hex() == "0x1.007fde5b1a0c6p-1"
     assert r.argmax_nodes == (5, 14, 28)
-    est = estimate_inverse_moment(cir_model, -1.0, 1.0, 8, 96, 5, batch_size=32, workers=1)
-    assert [float(e).hex() for e in est.estimates] == ["0x1.5880142887714p+0", "0x1.588c9e5674c61p+0", "0x1.55ebf5ad88305p+0"]
-    assert [float(e).hex() for e in est.stderrs] == ["0x1.3984624738cb4p-4", "0x1.43308d984952bp-4", "0x1.3939cf82e0d90p-4"]
+    est = estimate_inverse_moment(cir_model, -1.0, 1.0, 8, 96, 5, workers=1)
+    assert [float(e).hex() for e in est.estimates] == ["0x1.5880142887715p+0", "0x1.588c9e5674c60p+0", "0x1.55ebf5ad88304p+0"]
+    assert [float(e).hex() for e in est.stderrs] == ["0x1.3984624738cb2p-4", "0x1.43308d9849531p-4", "0x1.3939cf82e0d91p-4"]
     assert est.cap_hits == (0, 0, 0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_timechange_and_comparison_outputs_are_pinned(workers):
     """Exact reports of a small clock-change and comparison run, with
-    time-dependent kappa and theta, pinned from the batch-per-task kernel
-    that preceded chunked sweeps and wide tasks."""
+    time-dependent kappa and theta, over three 512-path blocks, pinned from
+    the kernel that preceded fixed blocks, run with 512-path batches."""
     theta = SinusoidalParam(1.0, 0.5, 2 * math.pi)
     params = PrototypeParams(kind="cir", kappa=AffineParam(1.0, 0.5), lam=1.0, theta=theta, x0=1.0)
-    tc = timechange_check(params, 6, 300, 9, batch_size=64, workers=workers)
+    tc = timechange_check(params, 6, MULTI_BLOCK_PATHS, 9, workers=workers)
     assert tc.horizon_image.hex() == "0x1.1fffffffffffcp+0"
-    assert tc.mean_original.hex() == "0x1.05b1cda8aa85dp+0"
-    assert tc.mean_changed.hex() == "0x1.f20a82475554dp-1"
-    assert tc.var_original.hex() == "0x1.0c4d73f647944p-2"
-    assert tc.var_changed.hex() == "0x1.e9ea171bf4dfcp-3"
-    assert tc.z_mean.hex() == "0x1.36114cd0b473dp+0"
-    assert tc.z_var.hex() == "0x1.1eca17f953b54p-1"
+    assert tc.mean_original.hex() == "0x1.0569fff9db68fp+0"
+    assert tc.mean_changed.hex() == "0x1.fc70b14508ad4p-1"
+    assert tc.var_original.hex() == "0x1.1b100733e4514p-2"
+    assert tc.var_changed.hex() == "0x1.064a19b54d400p-2"
+    assert tc.z_mean.hex() == "0x1.557bdb0911405p+0"
+    assert tc.z_var.hex() == "0x1.ca75fd1129b66p-1"
     assert tc.threshold.hex() == "0x1.a52ffadd2f906p+1"
     assert tc.passed is True
     assert tc.dropped == 0
     hi = make_prototype(params)
     lo = make_prototype(dataclasses.replace(params, lam=0.25))
-    rep = comparison_check(lo, hi, 1.0, 7, 300, 3, tolerance=1e-6, batch_size=64, workers=workers)
-    assert (rep.level, rep.paths, rep.dropped, rep.n_violating) == (7, 300, 0, 5)
+    rep = comparison_check(lo, hi, 1.0, 7, MULTI_BLOCK_PATHS, 3, tolerance=1e-6, workers=workers)
+    assert (rep.level, rep.paths, rep.dropped, rep.n_violating) == (7, 1200, 0, 14)
     assert rep.tolerance.hex() == "0x1.0c6f7a0b5ed8dp-20"
-    assert rep.max_violation.hex() == "0x1.998e3d81f8108p-6"
+    assert rep.max_violation.hex() == "0x1.3b18d1c4cf27dp-5"
 
 
 def test_strong_error_task_holds_a_chunk_not_the_lattice(cir_model):
@@ -348,7 +394,7 @@ def test_strong_error_task_holds_a_chunk_not_the_lattice(cir_model):
     a quarter of the paths x 2^ref_level float64 lattice it would otherwise
     hold."""
     cfg = ExperimentConfig(
-        model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, master_seed=3, batch_size=128
+        model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, master_seed=3
     )
     tracemalloc.start()
     try:
