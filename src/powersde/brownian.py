@@ -46,7 +46,6 @@ from scipy.special import ndtri
 
 __all__ = ["PathStreams", "sample_increment_batch", "coarsen_increments", "derive_seed"]
 
-MAX_LEVEL = 26  # 2^26 doubles is ~512 MiB per path; refuse beyond this
 _MASK64 = (1 << 64) - 1
 STAGE_VALUES = 1 << 14  # draws mapped to increments together, path-major
 
@@ -72,10 +71,7 @@ class PathStreams:
         n_paths: int,
         level: int,
         horizon: float,
-        max_level: int = MAX_LEVEL,
     ):
-        if level > max_level:
-            raise ValueError(f"level {level} exceeds the memory guard {max_level}")
         if level < 0:
             raise ValueError("level must be nonnegative")
         if n_paths < 1:

@@ -2,13 +2,17 @@
 
 Subcommands map one-to-one onto the estimators and criteria:
 
-    converge    strong error curve + fitted order        -> errors.csv
+    converge    strong error curve + fitted order        -> errors.csv, stdout line
     predict     boundary-drift rate prediction           -> stdout line
-    moments     inverse-moment divergence diagnostic     -> moments.csv
-    feller      boundary classification                  -> stdout line
-    ito         drift/curvature boundedness criterion    -> stdout line
-    timechange  clock-change distribution check          -> stdout line
-    compare     pathwise ordering of two models          -> stdout lines
+    moments     inverse-moment divergence diagnostic     -> moments.csv, stdout line
+    feller      boundary classification                  -> stdout line (+ --out table)
+    ito         drift/curvature boundedness criterion    -> stdout line (+ --out table)
+    timechange  clock-change distribution check          -> stdout line (+ --out table)
+    compare     pathwise ordering of two models          -> stdout lines (+ --out table)
+
+Results are named fields: ``_record`` writes every ``key=value`` line (the
+stdout lines and converge's ``#`` footer) and ``_write_table`` every CSV.
+Floats carry 17 significant digits, so files round-trip.
 
 Every subcommand takes ``--config FILE`` plus overrides (``--paths``,
 ``--seed``, ``--levels a:b``, ``--ref-level``, ``--out``), ``--workers``
@@ -32,21 +36,11 @@ import sys
 from typing import Optional
 
 from .brownian import derive_seed
-from .config import (
-    RunConfig,
-    apply_overrides,
-    format_resolved,
-    load_config,
-    resolve_config,
-)
+from .config import RunConfig, apply_overrides, format_resolved, load_config, resolve_config
 from .criteria import autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
-    ExperimentConfig,
-    comparison_check,
-    estimate_inverse_moment,
-    estimate_strong_error,
-    timechange_check,
+    ExperimentConfig, comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check,
 )
 
 __all__ = ["main"]
@@ -55,16 +49,35 @@ __all__ = ["main"]
 def _fmt(v) -> str:
     if v is None:
         return "none"
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int,)):
+    if isinstance(v, int):
         return str(v)
     return format(float(v), ".17g")
 
 
-def _resolve_workers(args) -> Optional[int]:
-    if args.workers is not None:
-        return args.workers
+def _record(fields: dict) -> str:
+    """One ``key=value`` line of named fields, in their order."""
+    return " ".join(f"{key}={_fmt(value)}" for key, value in fields.items())
+
+
+def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> None:
+    """Write columns as a CSV headed by their names, then footer as a ``# key=value`` line.
+
+    Columns, not rows, so that a table with no rows keeps its header."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values(), strict=True)]
+    if footer is not None:
+        lines.append("# " + _record(footer))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _resolve_workers(workers: Optional[int]) -> Optional[int]:
+    if workers is not None:
+        return workers
     env = os.environ.get("HE_WORKERS")
     if env:
         try:
@@ -74,17 +87,25 @@ def _resolve_workers(args) -> Optional[int]:
     return None
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _prototype(cfg: RunConfig, command: str):
+    if cfg.prototype is None:
+        raise ConfigError(f"{command} requires a prototype model (kind cir, wf or ckls)")
+    return cfg.prototype
+
+
+def _autonomous(cfg: RunConfig, command: str):
+    try:
+        return autonomous_from_prototype(_prototype(cfg, command))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_converge(cfg: RunConfig, args) -> int:
-    workers = _resolve_workers(args)
+def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Strong error curve and fitted order."""
     try:
         exp = ExperimentConfig(
             model=cfg.model,
@@ -99,68 +120,61 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         raise ConfigError(f"[experiment] {exc}")
     report = estimate_strong_error(exp, workers=workers)
 
-    predicted = None
-    provenance = "none"
+    fit = {
+        "lambda_hat": report.lambda_hat,
+        "stderr": report.lambda_stderr,
+        "r2": report.r_squared,
+        "predicted_lambda": None,
+        "provenance": None,
+    }
     if cfg.prototype is not None:
         try:
             pred = predict_rate(cfg.prototype)
-            predicted = pred.lambda_sup
-            provenance = pred.provenance
+            fit["predicted_lambda"] = pred.lambda_sup
+            fit["provenance"] = pred.provenance
         except HypothesisError:
             pass
 
-    lines = ["level,N,dt,l1_error,stderr,argmax_k"]
-    for i, level in enumerate(report.levels):
-        n = 1 << level
-        lines.append(
-            ",".join(
-                [
-                    str(level),
-                    str(n),
-                    _fmt(cfg.horizon / n),
-                    _fmt(report.errors[i]),
-                    _fmt(report.stderrs[i]),
-                    str(report.argmax_nodes[i]),
-                ]
-            )
-        )
-    footer = (
-        f"# lambda_hat={_fmt(report.lambda_hat)} stderr={_fmt(report.lambda_stderr)} "
-        f"r2={_fmt(report.r_squared)} predicted_lambda={_fmt(predicted)} provenance={provenance}"
-    )
-    lines.append(footer)
-    out = cfg.out or "errors.csv"
-    _write_lines(out, lines)
+    levels = report.levels
+    columns = {
+        "level": levels,
+        "N": [1 << level for level in levels],
+        "dt": [cfg.horizon / (1 << level) for level in levels],
+        "l1_error": report.errors,
+        "stderr": report.stderrs,
+        "argmax_k": report.argmax_nodes,
+    }
+    _write_table(cfg.out or "errors.csv", columns, footer=fit)
 
     if cfg.plot:
-        plot_lines = ["log2N,log2err"]
-        for i, level in enumerate(report.levels):
-            if report.errors[i] > 0.0:
-                plot_lines.append(f"{_fmt(float(level))},{_fmt(math.log2(report.errors[i]))}")
-        _write_lines(cfg.plot, plot_lines)
+        kept = [i for i, err in enumerate(report.errors) if err > 0.0]
+        plot = {"log2N": [levels[i] for i in kept], "log2err": [math.log2(report.errors[i]) for i in kept]}
+        _write_table(cfg.plot, plot)
 
-    print(footer.lstrip("# "))
+    print(_record(fit))
     return 0
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
-    if cfg.prototype is None:
-        raise ConfigError("predict requires a prototype model (kind cir, wf or ckls)")
-    pred = predict_rate(cfg.prototype)
-    parts = [f"mu0={_fmt(pred.mu0)}"]
-    if pred.mu1 is not None:
-        parts.append(f"mu1={_fmt(pred.mu1)}")
-    parts.append(f"s={_fmt(pred.s_exponent)}")
-    parts.append(f"lambda_sup={_fmt(pred.lambda_sup)}")
-    parts.append(f"provenance={pred.provenance}")
-    print(" ".join(parts))
+def cmd_predict(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Boundary-drift rate prediction."""
+    pred = predict_rate(_prototype(cfg, "predict"))
+    fields = {
+        "mu0": pred.mu0,
+        "mu1": pred.mu1,
+        "s": pred.s_exponent,
+        "lambda_sup": pred.lambda_sup,
+        "provenance": pred.provenance,
+    }
+    if pred.mu1 is None:  # a one-sided model has no right boundary ratio
+        del fields["mu1"]
+    print(_record(fields))
     return 0
 
 
-def cmd_moments(cfg: RunConfig, args) -> int:
+def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Inverse-moment divergence diagnostic."""
     if cfg.q is None:
         raise ConfigError("[condition]: set q (or s, from which q is derived) for the moments command")
-    workers = _resolve_workers(args)
     est = estimate_inverse_moment(
         cfg.model,
         cfg.q,
@@ -173,123 +187,95 @@ def cmd_moments(cfg: RunConfig, args) -> int:
         on_explosion=cfg.on_explosion,
         workers=workers,
     )
-    lines = ["q,estimate,stderr,ref_level,cap_hits,divergence_flag"]
-    for i, level in enumerate(est.ref_levels):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(est.q),
-                    _fmt(est.estimates[i]),
-                    _fmt(est.stderrs[i]),
-                    str(level),
-                    str(est.cap_hits[i]),
-                    _fmt(est.divergence_flag),
-                ]
-            )
-        )
-    out = cfg.out or "moments.csv"
-    _write_lines(out, lines)
-    print(f"q={_fmt(est.q)} divergence_flag={_fmt(est.divergence_flag)} ref_level={est.ref_levels[-1]}")
+    columns = {
+        "q": [est.q] * len(est.ref_levels),
+        "estimate": est.estimates,
+        "stderr": est.stderrs,
+        "ref_level": est.ref_levels,
+        "cap_hits": est.cap_hits,
+        "divergence_flag": [est.divergence_flag] * len(est.ref_levels),
+    }
+    _write_table(cfg.out or "moments.csv", columns)
+    print(_record({"q": est.q, "divergence_flag": est.divergence_flag, "ref_level": est.ref_levels[-1]}))
     return 0
 
 
-def _autonomous(cfg: RunConfig):
-    if cfg.prototype is None:
-        raise ConfigError("this command requires a prototype model (kind cir, wf or ckls)")
-    try:
-        return autonomous_from_prototype(cfg.prototype)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def cmd_feller(cfg: RunConfig, args) -> int:
-    model = _autonomous(cfg)
-    result = feller_test(model)
-    print(
-        f"conclusion={result.conclusion} "
-        f"left={result.left.classification} right={result.right.classification} "
-        f"v_left={_fmt(result.left.v_estimate)} v_right={_fmt(result.right.v_estimate)}"
-    )
+def cmd_feller(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Boundary classification (Feller test)."""
+    result = feller_test(_autonomous(cfg, "feller"))
+    fields = {
+        "conclusion": result.conclusion,
+        "left": result.left.classification,
+        "right": result.right.classification,
+        "v_left": result.left.v_estimate,
+        "v_right": result.right.v_estimate,
+    }
+    print(_record(fields))
     if cfg.out:
-        lines = ["side,segment,v"]
-        for probe in (result.left, result.right):
-            for j, v in enumerate(probe.v_values):
-                lines.append(f"{probe.side},{j},{_fmt(v)}")
-        _write_lines(cfg.out, lines)
+        probes = (result.left, result.right)
+        columns = {
+            "side": [probe.side for probe in probes for _ in probe.v_values],
+            "segment": [j for probe in probes for j in range(len(probe.v_values))],
+            "v": [v for probe in probes for v in probe.v_values],
+        }
+        _write_table(cfg.out, columns)
     return 0
 
 
-def cmd_ito(cfg: RunConfig, args) -> int:
-    model = _autonomous(cfg)
-    report = ito_criterion(model)
-    parts = [
-        f"classification={report.classification}",
-        f"inf_estimate={_fmt(report.inf_estimate)}",
-        f"left_trend={report.left_trend}",
-        f"right_trend={report.right_trend}",
-    ]
-    if report.s_exponent is not None:
-        parts.append(f"s={_fmt(report.s_exponent)}")
-        parts.append(f"lambda_sup={_fmt(report.lambda_sup)}")
-    print(" ".join(parts))
+def cmd_ito(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Drift/curvature boundedness criterion."""
+    report = ito_criterion(_autonomous(cfg, "ito"))
+    row = {
+        "classification": report.classification,
+        "inf_estimate": report.inf_estimate,
+        "left_trend": report.left_trend,
+        "right_trend": report.right_trend,
+    }
+    fields = dict(row)
+    if report.s_exponent is not None:  # bounded below: the criterion gives a rate
+        fields.update(s=report.s_exponent, lambda_sup=report.lambda_sup)
+    print(_record(fields))
     if cfg.out:
-        _write_lines(
-            cfg.out,
-            [
-                "classification,inf_estimate,left_trend,right_trend",
-                f"{report.classification},{_fmt(report.inf_estimate)},{report.left_trend},{report.right_trend}",
-            ],
-        )
+        _write_table(cfg.out, {key: [value] for key, value in row.items()})
     return 0
 
 
-def cmd_timechange(cfg: RunConfig, args) -> int:
-    if cfg.prototype is None:
-        raise ConfigError("timechange requires a prototype model (kind cir, wf or ckls)")
-    workers = _resolve_workers(args)
-    level = max(cfg.levels)
+def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Clock-change distribution check."""
     report = timechange_check(
-        cfg.prototype,
-        level,
+        _prototype(cfg, "timechange"),
+        max(cfg.levels),
         cfg.paths,
         derive_seed(cfg.seed, "timechange"),
         significance=cfg.significance,
         on_explosion=cfg.on_explosion,
         workers=workers,
     )
-    verdict = "pass" if report.passed else "fail"
-    print(
-        f"verdict={verdict} z_mean={_fmt(report.z_mean)} z_var={_fmt(report.z_var)} "
-        f"threshold={_fmt(report.threshold)} horizon_image={_fmt(report.horizon_image)}"
-    )
+    fields = {
+        "verdict": "pass" if report.passed else "fail",
+        "z_mean": report.z_mean,
+        "z_var": report.z_var,
+        "threshold": report.threshold,
+        "horizon_image": report.horizon_image,
+    }
+    print(_record(fields))
     if cfg.out:
-        _write_lines(
-            cfg.out,
-            [
-                "verdict,z_mean,z_var,threshold,horizon_image,mean_original,mean_changed,var_original,var_changed",
-                ",".join(
-                    [
-                        verdict,
-                        _fmt(report.z_mean),
-                        _fmt(report.z_var),
-                        _fmt(report.threshold),
-                        _fmt(report.horizon_image),
-                        _fmt(report.mean_original),
-                        _fmt(report.mean_changed),
-                        _fmt(report.var_original),
-                        _fmt(report.var_changed),
-                    ]
-                ),
-            ],
-        )
+        row = {
+            **fields,
+            "mean_original": report.mean_original,
+            "mean_changed": report.mean_changed,
+            "var_original": report.var_original,
+            "var_changed": report.var_changed,
+        }
+        _write_table(cfg.out, {key: [value] for key, value in row.items()})
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
-    workers = _resolve_workers(args)
+def cmd_compare(cfg: RunConfig, workers: Optional[int]) -> int:
+    """Pathwise ordering of two models."""
     model_hi = cfg.model_hi if cfg.model_hi is not None else cfg.model
     seed = derive_seed(cfg.seed, "compare")
-    rows = []
+    reports = []
     for level in cfg.levels:
         rep = comparison_check(
             cfg.model,
@@ -302,28 +288,25 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             on_explosion=cfg.on_explosion,
             workers=workers,
         )
-        rows.append(rep)
-        print(
-            f"level={rep.level} violations={rep.n_violating} "
-            f"violation_fraction={_fmt(rep.violation_fraction)} "
-            f"max_violation={_fmt(rep.max_violation)} tolerance={_fmt(rep.tolerance)}"
-        )
+        fields = {
+            "level": rep.level,
+            "violations": rep.n_violating,
+            "violation_fraction": rep.violation_fraction,
+            "max_violation": rep.max_violation,
+            "tolerance": rep.tolerance,
+        }
+        print(_record(fields))
+        reports.append(rep)
     if cfg.out:
-        lines = ["level,paths,n_violating,violation_fraction,max_violation,tolerance"]
-        for rep in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(rep.level),
-                        str(rep.paths),
-                        str(rep.n_violating),
-                        _fmt(rep.violation_fraction),
-                        _fmt(rep.max_violation),
-                        _fmt(rep.tolerance),
-                    ]
-                )
-            )
-        _write_lines(cfg.out, lines)
+        columns = {
+            "level": [rep.level for rep in reports],
+            "paths": [rep.paths for rep in reports],
+            "n_violating": [rep.n_violating for rep in reports],
+            "violation_fraction": [rep.violation_fraction for rep in reports],
+            "max_violation": [rep.max_violation for rep in reports],
+            "tolerance": [rep.tolerance for rep in reports],
+        }
+        _write_table(cfg.out, columns)
     return 0
 
 
@@ -357,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override output.out")
         p.add_argument("--workers", type=int, help="worker processes (default: cpu count; env HE_WORKERS)")
         p.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
-        p.set_defaults(func=fn)
     return parser
 
 
@@ -377,7 +359,8 @@ def main(argv=None) -> int:
             sys.stdout.write(format_resolved(raw))
             return 0
         cfg = resolve_config(raw)
-        return args.func(cfg, args)
+        # looked up at call time, so a wrapped entry of _COMMANDS is the one called
+        return _COMMANDS[args.command](cfg, _resolve_workers(args.workers))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -390,7 +373,3 @@ def main(argv=None) -> int:
     except InvalidCoefficientError as exc:
         print(f"invalid coefficient: {exc}", file=sys.stderr)
         return 5
-
-
-def run() -> None:
-    sys.exit(main())

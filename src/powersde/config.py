@@ -15,6 +15,8 @@ family spec:
     kappa = sin:1.0,0.5,6.2832    # 1.0 + 0.5 sin(6.2832 t)
 
 ``levels`` is an inclusive range ``4:9`` or an explicit list ``4,6,8``.
+No level, ``ref_level`` included, may exceed the memory guard ``MAX_LEVEL``
+(26).
 Custom models name their coefficients from a small builtin registry.
 """
 
@@ -37,6 +39,7 @@ from .models import (
 )
 from .montecarlo import BLOCK_PATHS
 from .params import AffineParam, ConstantParam, SinusoidalParam
+from .schemes import MAX_LEVEL
 
 __all__ = [
     "RunConfig",
@@ -312,7 +315,11 @@ def resolve_config(raw: dict) -> RunConfig:
     levels = parse_levels(sec.get("levels", "4:9"), "[experiment] levels")
     if not levels or levels[0] < 0:
         raise ConfigError("[experiment] levels: must be nonnegative and nonempty")
+    if levels[-1] > MAX_LEVEL:
+        raise ConfigError(f"[experiment] levels: level {levels[-1]} exceeds the memory guard {MAX_LEVEL}")
     ref_level = _get_int(sec, "experiment", "ref_level", 13)
+    if ref_level > MAX_LEVEL:
+        raise ConfigError(f"[experiment] ref_level: {ref_level} exceeds the memory guard {MAX_LEVEL}")
     paths = _get_int(sec, "experiment", "paths", 10000)
     if paths < 1:
         raise ConfigError("[experiment] paths: must be at least 1")

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .models import PrototypeParams, SdeModel, CoefficientFn, CoefficientMeta
+from .models import PrototypeParams, SdeModel, CoefficientFn, CoefficientMeta, _theta_positive
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
 
@@ -627,10 +627,7 @@ class TimeChange:
 def build_timechange(theta, horizon: float) -> TimeChange:
     """Tabulate the clock change for a strictly positive theta."""
     theta = as_param(theta)
-    lo, _ = theta.bounds(horizon)
-    grid = np.linspace(0.0, horizon, 1001)
-    if lo <= 0.0 or np.any(np.asarray(theta(grid)) <= 0.0):
-        raise ValueError("theta must be strictly positive on [0, horizon]")
+    _theta_positive(theta, horizon)
 
     def theta_sq(s):
         v = theta(s)

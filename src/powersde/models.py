@@ -123,9 +123,6 @@ class SdeModel:
             if not lo < self.x0 < hi:
                 raise ValueError(f"x0={self.x0} outside domain ({lo}, {hi})")
 
-    def diffusion(self, t, x):
-        return eval_diffusion(self, t, x)
-
 
 def eval_diffusion(model: SdeModel, t, x):
     """Effective diffusion c(t, x) = max(sigma(t, x), 0)^gamma.

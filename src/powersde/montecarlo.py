@@ -42,11 +42,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .brownian import MAX_LEVEL, PathStreams, coarsen_increments, sample_increment_batch
+from .brownian import PathStreams, coarsen_increments, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from .models import PrototypeParams, SdeModel, make_prototype
-from .schemes import EulerGrid, EulerSweep, euler_batch
+from .schemes import MAX_LEVEL, EulerGrid, EulerSweep, euler_batch
 
 __all__ = [
     "ExperimentConfig",

@@ -31,6 +31,12 @@ from .models import SdeModel, clamped_power
 
 __all__ = ["EulerGrid", "EulerSweep", "euler_batch"]
 
+# The finest level any grid may have.  Lattices are streamed in chunks, so
+# what grows with the level is a grid's tables (a few doubles per step; at
+# 2^26 steps each table takes 512 MiB) and converge's per-node errors
+# (2^level + 1 doubles per path and studied level).
+MAX_LEVEL = 26
+
 
 class EulerGrid:
     """A model on the n_steps-step equidistant grid of [0, horizon].
@@ -44,6 +50,8 @@ class EulerGrid:
     def __init__(self, model: SdeModel, horizon: float, n_steps: int):
         if n_steps < 1:
             raise ValueError("a grid needs at least one step")
+        if n_steps > 1 << MAX_LEVEL:
+            raise ValueError(f"{n_steps} steps exceed the memory guard 2^{MAX_LEVEL}")
         self.model = model
         self.n_steps = n_steps
         self.dt = horizon / n_steps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from powersde.brownian import MAX_LEVEL, PathStreams, coarsen_increments, derive_seed, sample_increment_batch
+from powersde.brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
 from sweeps import euler_run
 
@@ -152,8 +152,6 @@ def test_variance_scales_with_level():
 def test_level_guards():
     with pytest.raises(ValueError):
         coarsen_increments(_path(1, 0, 4, 1.0), -1)
-    with pytest.raises(ValueError):
-        PathStreams(1, 0, 1, MAX_LEVEL + 1, 1.0)
     with pytest.raises(ValueError):
         PathStreams(1, 0, 0, 3, 1.0)
 

@@ -5,6 +5,8 @@ files can be asserted without spawning subprocesses.  Workloads are
 kept tiny; statistical quality is covered elsewhere.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,10 +65,11 @@ class TestConverge:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
+        # three 512-path blocks, so the 2-worker run is split over a pool
         cfg = write_ini(tmp_path, SMALL)
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert run(["converge", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
-        assert run(["converge", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
+        assert run(["converge", "--config", cfg, "--paths", "1200", "--out", str(a), "--workers", "1"]) == 0
+        assert run(["converge", "--config", cfg, "--paths", "1200", "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_plot_table(self, tmp_path):
@@ -300,3 +303,133 @@ class TestPlumbing:
         monkeypatch.setenv("HE_WORKERS", "lots")
         assert run(["converge", "--config", cfg]) == 3
         assert "HE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "converge"])
+    def test_env_worker_garbage_exits_3_on_every_command(self, tmp_path, monkeypatch, capsys, command):
+        # including those that start no pool (predict, feller, ito)
+        cfg = write_ini(tmp_path, SMALL + "[condition]\nq = -1\n")
+        monkeypatch.setenv("HE_WORKERS", "lots")
+        assert run([command, "--config", cfg]) == 3
+        assert "HE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag", [("moments", "--ref-level"), ("compare", "--levels"), ("timechange", "--levels")]
+    )
+    def test_level_above_the_memory_guard_exits_3(self, tmp_path, capsys, command, flag):
+        cfg = write_ini(tmp_path, "[condition]\nq = -1\n")
+        assert run([command, "--config", cfg, flag, "30"]) == 3
+        assert "exceeds the memory guard 26" in capsys.readouterr().err
+
+    def test_every_subcommand_has_help(self):
+        lines = cli.build_parser().format_help().splitlines()
+        for name in cli._COMMANDS:
+            (line,) = [l for l in lines if l.split()[:1] == [name]]
+            assert len(line.split()) > 1, f"{name} has no help text"
+
+
+# Every subcommand's exit code, stdout and written files, byte for byte.
+# Each case runs with "--out <dir>/out.csv"; "{dir}" in its config is that
+# directory, and a file missing from its table must not have been written.
+# The long feller segment table is pinned by its sha256.
+WF = "[model]\nkind = wf\nkappa = 2.0\nlam = 0.5\nx0 = 0.5\n"
+PINNED = {
+    "converge-cir-plot": (
+        "converge",
+        SMALL + "[output]\nplot = {dir}/plot.csv\n",
+        "lambda_hat=0.394533778771752 stderr=0.10046466350889892 r2=0.93910621118650617 "
+        "predicted_lambda=0.5 provenance=cir-boundary-rate\n",
+        {
+            "out.csv": "level,N,dt,l1_error,stderr,argmax_k\n"
+            "3,8,0.125,0.067424180735795147,0.0055351567018823806,8\n"
+            "4,16,0.0625,0.057867054427403239,0.0058930070176217058,16\n"
+            "5,32,0.03125,0.03901958756960186,0.0040847302096238061,32\n"
+            "# lambda_hat=0.394533778771752 stderr=0.10046466350889892 r2=0.93910621118650617 "
+            "predicted_lambda=0.5 provenance=cir-boundary-rate\n",
+            "plot.csv": "log2N,log2err\n3,-3.8905901032446781\n4,-4.1111139804537062\n5,-4.6796576607881821\n",
+        },
+    ),
+    "converge-custom": (
+        "converge",
+        SMALL + "[model]\nkind = custom\ndrift = neg_x\nsigma = x_plus\ngamma = 0.75\n",
+        "lambda_hat=0.50746868715691384 stderr=0.014390235803158206 r2=0.99919653263787545 "
+        "predicted_lambda=none provenance=none\n",
+        {
+            "out.csv": "level,N,dt,l1_error,stderr,argmax_k\n"
+            "3,8,0.125,0.083762611313051752,0.0090514263868223966,3\n"
+            "4,16,0.0625,0.059950107956604104,0.0058944555211257344,6\n"
+            "5,32,0.03125,0.041449912174974159,0.0044476396767030449,14\n"
+            "# lambda_hat=0.50746868715691384 stderr=0.014390235803158206 r2=0.99919653263787545 "
+            "predicted_lambda=none provenance=none\n",
+        },
+    ),
+    "predict-wf": (
+        "predict",
+        WF,
+        "mu0=1 mu1=1 s=0 lambda_sup=0.5 provenance=wf-boundary-rate\n",
+        {},
+    ),
+    "moments": (
+        "moments",
+        "[experiment]\nref_level = 8\npaths = 64\nseed = 5\n[condition]\nq = -1\n",
+        "q=-1 divergence_flag=false ref_level=8\n",
+        {
+            "out.csv": "q,estimate,stderr,ref_level,cap_hits,divergence_flag\n"
+            "-1,1.4072459884650617,0.086451659153829213,6,0,false\n"
+            "-1,1.4105395448746969,0.086536707685149455,7,0,false\n"
+            "-1,1.4130710305852143,0.087325682616225878,8,0,false\n",
+        },
+    ),
+    "feller-cir-exit": (
+        "feller",
+        "[model]\nkappa = 0.25\nlam = 1.0\n",
+        "conclusion=exit-possible left=finite right=divergent v_left=3.6370049880093562 v_right=none\n",
+        {"out.csv": "sha256:ed9f9e99cef66a417bdf6a7a57aa560a86c7fbcb2764543f3ebac5751971c32b"},
+    ),
+    "ito-wf": (
+        "ito",
+        WF,
+        "classification=bounded-below inf_estimate=-1.0000000000000002 left_trend=bounded "
+        "right_trend=bounded s=0 lambda_sup=0.5\n",
+        {
+            "out.csv": "classification,inf_estimate,left_trend,right_trend\n"
+            "bounded-below,-1.0000000000000002,bounded,bounded\n",
+        },
+    ),
+    "timechange-sin": (
+        "timechange",
+        "[model]\ntheta = sin:1,0.5,6.283185307179586\n[experiment]\nlevels = 6\npaths = 600\nseed = 3\n",
+        "verdict=pass z_mean=-1.3510832883159021 z_var=-0.8143619247357472 "
+        "threshold=3.2905267314919255 horizon_image=1.1249999999999991\n",
+        {
+            "out.csv": "verdict,z_mean,z_var,threshold,horizon_image,"
+            "mean_original,mean_changed,var_original,var_changed\n"
+            "pass,-1.3510832883159021,-0.8143619247357472,3.2905267314919255,1.1249999999999991,"
+            "0.97203104346961477,1.0186839715284832,0.33955339421675068,0.3758398239707208\n",
+        },
+    ),
+    "compare-ordered": (
+        "compare",
+        "[model]\nlam = 0.5\n[model_hi]\nlam = 1.5\n[experiment]\nlevels = 4,5\npaths = 64\nseed = 11\n",
+        "level=4 violations=0 violation_fraction=0 max_violation=0 tolerance=0.001\n"
+        "level=5 violations=0 violation_fraction=0 max_violation=0 tolerance=0.001\n",
+        {
+            "out.csv": "level,paths,n_violating,violation_fraction,max_violation,tolerance\n"
+            "4,64,0,0,0,0.001\n5,64,0,0,0,0.001\n",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_output_bytes_are_pinned(tmp_path, capsys, case):
+    command, ini, stdout, files = PINNED[case]
+    cfg = write_ini(tmp_path, ini.format(dir=tmp_path))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out.csv"), "--workers", "1"]) == 0
+    assert capsys.readouterr().out == stdout
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "run.ini"}
+    assert sorted(written) == sorted(files)
+    for name, want in files.items():
+        if want.startswith("sha256:"):
+            assert hashlib.sha256(written[name]).hexdigest() == want[len("sha256:"):]
+        else:
+            assert written[name].decode() == want

@@ -82,15 +82,6 @@ class TestExperimentConfig:
 
 
 class TestStrongError:
-    def test_worker_count_does_not_change_results(self, cir_model):
-        cfg = small_config(cir_model)
-        r1 = estimate_strong_error(cfg, workers=1)
-        r3 = estimate_strong_error(cfg, workers=3)
-        np.testing.assert_array_equal(r1.errors, r3.errors)
-        np.testing.assert_array_equal(r1.stderrs, r3.stderrs)
-        assert r1.lambda_hat == r3.lambda_hat
-        assert r1.argmax_nodes == r3.argmax_nodes
-
     def test_additive_noise_has_no_discretization_error(self):
         m = SdeModel(drift=_const(0.0), base_sigma=_const(1.0), gamma=0.5, x0=0.0)
         r = estimate_strong_error(small_config(m, paths=64), workers=1)
@@ -232,12 +223,6 @@ class TestInverseMoment:
     def test_positive_q_rejected(self, cir_model):
         with pytest.raises(ValueError):
             estimate_inverse_moment(cir_model, 0.5, 1.0, 8, 16, 0)
-
-    def test_worker_determinism(self, cir_model):
-        a = estimate_inverse_moment(cir_model, -1.0, 1.0, 9, 128, 5, workers=1)
-        b = estimate_inverse_moment(cir_model, -1.0, 1.0, 9, 128, 5, workers=3)
-        np.testing.assert_array_equal(a.estimates, b.estimates)
-        assert a.cap_hits == b.cap_hits
 
 
 class TestComparison:

@@ -4,6 +4,7 @@ import pytest
 from powersde.brownian import PathStreams, sample_increment_batch
 from powersde.errors import InvalidCoefficientError
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel, eval_diffusion
+from powersde.schemes import MAX_LEVEL, EulerGrid
 from sweeps import euler_run
 
 
@@ -69,6 +70,12 @@ def test_keep_stride_matches_full_run():
     full, _ = euler_run(m, inc, 1.0, keep_stride=1)
     strided, _ = euler_run(m, inc, 1.0, keep_stride=4)
     np.testing.assert_array_equal(strided[0], full[0, ::4])
+
+
+def test_grid_memory_guard(cir_model):
+    # refused before any table is built
+    with pytest.raises(ValueError, match="memory guard"):
+        EulerGrid(cir_model, 1.0, (1 << MAX_LEVEL) + 1)
 
 
 def test_keep_stride_must_divide_steps():
