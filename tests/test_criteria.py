@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from powersde.criteria import (
 from powersde.errors import HypothesisError
 from powersde.models import PrototypeParams
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
+from powersde.schemes import EulerGrid
 
 
 def cir(kappa=1.0, lam=1.0, theta=1.0, x0=1.0):
@@ -267,6 +269,27 @@ class TestTimeChange:
         # unit diffusion scale: sigma~ = x+, so c = sqrt(x+)
         assert changed.base_sigma(s, 4.0) == pytest.approx(4.0)
         assert changed.name.endswith("timechanged")
+
+    def test_clock_tables_are_pinned(self):
+        """The clock table, its inverse and the changed model's drift table
+        of the timechange workload, bit for bit (sha256 of the raw float64
+        bytes, float.hex of A)."""
+        theta = SinusoidalParam(1.0, 0.5, 2.0 * math.pi)
+        tc = build_timechange(theta, 1.0)
+        ys = hashlib.sha256(tc.table.ys.tobytes()).hexdigest()
+        assert ys == "3a987830f3b31209edacac73a1829729f36cdcc46d4639f92167fdf94b4ff446"
+        grid = EulerGrid(time_changed_model(cir(theta=theta), tc), tc.horizon_image, 1 << 10)
+        drift = hashlib.sha256(np.ascontiguousarray(grid.drift).tobytes()).hexdigest()
+        assert drift == "0429b0f78ce339678af2bc79a599b778e91365f26c24bd12db5fcf1be930d6e0"
+        pinned = {
+            0.0: "0x0.0p+0",
+            0.1: "0x1.443f84fc1f205p-4",
+            0.5: "0x1.1b34d5596e537p-2",
+            0.8125: "0x1.c52cb2a585bc6p-2",
+            tc.horizon_image: "0x1.0000000000000p+0",
+        }
+        assert {tau: tc.A(tau).hex() for tau in pinned} == pinned
+        assert tc.horizon_image.hex() == "0x1.1fffffffffffcp+0"
 
     def test_changed_model_horizon_is_the_image(self):
         theta = AffineParam(1.0, 1.0)
