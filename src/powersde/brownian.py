@@ -8,11 +8,21 @@ underlying path, which is what makes pathwise error measurement meaningful.
 Randomness contract
 -------------------
 Increment j of path p under master seed m comes from a counter-based Philox
-stream keyed by (m mod 2^64, p): the j-th 64-bit draw r_j is mapped to the
-open unit interval by u = (floor(r_j / 2^11) + 1/2) * 2^-53 and then through
-the inverse normal CDF, scaled by sqrt(T / 2^level).  Every value is a pure
-function of (m, p, j), so paths can be generated in any order, on any number
-of workers, with bit-identical results.
+stream with the key Philox(key=[m mod 2^64, p]) holds: the j-th 64-bit draw
+r_j is mapped to the open unit interval by u = (floor(r_j / 2^11) + 1/2) *
+2^-53 and then through the inverse normal CDF, scaled by sqrt(T / 2^level).
+numpy reads that key list as one array, so the key is (m mod 2^64, p) only
+while both words lie on the same side of 2^63.  Otherwise both pass through
+float64: for m >= 2^63 and p < 2^53 the key is (uint64(float64(m)), p), and
+master seeds that round to the same double (2^63, 2^63 + 1, 2^63 + 1000)
+share their streams.  Every value is a pure function of (m, p, j), so paths
+can be generated in any order, on any number of workers, with bit-identical
+results.
+
+A keyed counter stream depends only on its key and counter, so a used
+generator re-keyed with a fresh state draws exactly what a new one would.
+Each process keeps the generators no live PathStreams owns and re-keys
+them, which costs a small fraction of building one.
 
 Layout and chunking
 -------------------
@@ -37,6 +47,7 @@ whole coarse steps halves exactly as the full lattice would.
 
 from __future__ import annotations
 
+import weakref
 from hashlib import sha256
 from typing import Optional
 
@@ -60,9 +71,49 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _through_float64(x: int) -> int:
+    """uint64(float64(x)), cast as numpy casts it."""
+    f = float(x)
+    return int(f) if f < 2.0**64 else int(np.array(f).astype(np.uint64))
+
+
+def _philox_key(m: int, p: int) -> tuple[int, int]:
+    """The key words of Philox(key=[m, p]), for m and p in [0, 2^64)."""
+    if m >> 63 == p >> 63:
+        return m, p
+    return _through_float64(m), _through_float64(p)
+
+
+def _fresh_state(key: tuple[int, int]) -> dict:
+    """The state of a new Philox generator with this key: counter 0 and an
+    empty buffer."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+# Generators that no live PathStreams owns, re-keyed when taken.
+_SPARE: list[Philox] = []
+
+
+def reserve_generators(n: int) -> None:
+    """Grow the spare generators to n, so that processes forked afterwards
+    inherit them and only re-key."""
+    _SPARE.extend(Philox(0) for _ in range(n - len(_SPARE)))
+
+
 class PathStreams:
     """The increment streams of paths first_path .. first_path+n_paths-1 on
-    one dyadic level, read forward in time by sample_increment_batch."""
+    one dyadic level, read forward in time by sample_increment_batch.
+
+    The streams own their generators until they are dropped; then the
+    generators go back to the spare set, so no two live streams share one.
+    """
 
     def __init__(
         self,
@@ -76,8 +127,13 @@ class PathStreams:
             raise ValueError("level must be nonnegative")
         if n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        reserve_generators(n_paths)
+        self.generators = _SPARE[-n_paths:]
+        del _SPARE[-n_paths:]
+        weakref.finalize(self, _SPARE.extend, self.generators).atexit = False
         key0 = master_seed & _MASK64
-        self.generators = [Philox(key=[key0, (first_path + i) & _MASK64]) for i in range(n_paths)]
+        for i, gen in enumerate(self.generators):
+            gen.state = _fresh_state(_philox_key(key0, (first_path + i) & _MASK64))
         self.n_steps = 1 << level
         self.scale = np.sqrt(horizon / self.n_steps)
         self.position = 0

@@ -175,6 +175,8 @@ def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
     """Inverse-moment divergence diagnostic."""
     if cfg.q is None:
         raise ConfigError("[condition]: set q (or s, from which q is derived) for the moments command")
+    if cfg.ref_level < 2:  # the diagnostic also runs ref_level - 2
+        raise ConfigError(f"[experiment] ref_level must be at least 2 for moments, got {cfg.ref_level}")
     est = estimate_inverse_moment(
         cfg.model,
         cfg.q,
@@ -373,3 +375,7 @@ def main(argv=None) -> int:
     except InvalidCoefficientError as exc:
         print(f"invalid coefficient: {exc}", file=sys.stderr)
         return 5
+
+
+if __name__ == "__main__":
+    sys.exit(main())

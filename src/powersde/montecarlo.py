@@ -14,13 +14,15 @@ results are byte-identical for any worker count, including the serial
 fallback, and for any grouping of blocks into tasks.
 
 Each estimator tabulates its grids' time-only coefficient parts in the
-calling process before dispatch, so workers inherit the tables.  Within a
-task the sweeps advance through each chunk in a fixed order, their rank
-(reference first, then coarser levels).  A task that meets a bad
-coefficient stops and hands back the error, keyed by (chunk, sweep rank,
-step, path); the engine raises the error with the smallest key, which is
-the one a single task over all paths would raise, so the reported (t, x)
-does not depend on the worker count or the task width either.
+calling process before dispatch, and the engine grows the spare Philox
+generators there to the task width, so workers inherit the tables and the
+generators and only re-key them.  Within a task the sweeps advance through
+each chunk in a fixed order, their rank (reference first, then coarser
+levels).  A task that meets a bad coefficient stops and hands back the
+error, keyed by (chunk, sweep rank, step, path); the engine raises the
+error with the smallest key, which is the one a single task over all paths
+would raise, so the reported (t, x) does not depend on the worker count or
+the task width either.
 
 Explosion policy
 ----------------
@@ -42,7 +44,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .brownian import PathStreams, coarsen_increments, sample_increment_batch
+from .brownian import PathStreams, coarsen_increments, reserve_generators, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from .models import PrototypeParams, SdeModel, make_prototype
@@ -147,6 +149,7 @@ def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_
             return exc
         return [reduce_block(results, slice(q, min(q + BLOCK_PATHS, n))) for q in range(0, n, BLOCK_PATHS)]
 
+    reserve_generators(width)  # forked workers inherit them and only re-key
     runs = _run_batches(task, len(cuts) - 1, workers)
     failures = [run for run in runs if isinstance(run, InvalidCoefficientError)]
     if failures:

@@ -83,6 +83,8 @@ class SinusoidalParam:
     omega: float
 
     def __call__(self, t):
+        if type(t) is float:  # the clock build's path: the same operations
+            return float(self.p + self.q * np.sin(self.omega * t))
         out = self.p + self.q * np.sin(self.omega * np.asarray(t, dtype=float))
         return float(out) if _is_scalar(t) else out
 

@@ -6,7 +6,9 @@ implementations following the same description, produce the same tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +34,7 @@ def adaptive_simpson(f, a, b, tol, max_depth=50):
     if a == b:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    if not (np.isfinite(fa) and np.isfinite(fm) and np.isfinite(fb)):
+    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
         raise QuadratureError(f"non-finite integrand on [{a}, {b}]")
     whole = _simpson(fa, fm, fb, b - a)
     return _adaptive(f, a, b, fa, fm, fb, whole, tol, max_depth)
@@ -42,7 +44,7 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
-    if not (np.isfinite(flm) and np.isfinite(frm)):
+    if not (math.isfinite(flm) and math.isfinite(frm)):
         raise QuadratureError(f"non-finite integrand near [{a}, {b}]")
     left = _simpson(fa, flm, fm, m - a)
     right = _simpson(fm, frm, fb, b - m)
@@ -62,13 +64,16 @@ class CumulativeTable:
 
     xs are uniform table nodes, ys the cumulative values.  Evaluation between
     nodes re-integrates the stored integrand from the bracketing node, so
-    accuracy between nodes matches the table itself.
+    accuracy between nodes matches the table itself.  The nodes are also kept
+    as Python floats, which bisect searches without numpy's per-call cost.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     integrand: object
     seg_tol: float
+    _xs: list = field(init=False, repr=False, compare=False)
+    _ys: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
@@ -77,33 +82,30 @@ class CumulativeTable:
             raise ValueError("cumulative values must be strictly increasing")
         self.xs.setflags(write=False)
         self.ys.setflags(write=False)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
+        object.__setattr__(self, "_xs", self.xs.tolist())
+        object.__setattr__(self, "_ys", self.ys.tolist())
 
     @property
     def total(self) -> float:
         return float(self.ys[-1])
 
     def forward(self, x: float) -> float:
-        lo, hi = self.span
-        if not lo <= x <= hi:
-            raise ValueError(f"{x} outside [{lo}, {hi}]")
-        i = min(int(np.searchsorted(self.xs, x, side="right")) - 1, len(self.xs) - 2)
-        i = max(i, 0)
-        if x == self.xs[i]:
-            return float(self.ys[i])
-        return float(self.ys[i]) + adaptive_simpson(self.integrand, float(self.xs[i]), x, self.seg_tol)
+        xs, ys = self._xs, self._ys
+        if not xs[0] <= x <= xs[-1]:
+            raise ValueError(f"{x} outside [{xs[0]}, {xs[-1]}]")
+        i = max(min(bisect_right(xs, x) - 1, len(xs) - 2), 0)
+        if x == xs[i]:
+            return ys[i]
+        return ys[i] + adaptive_simpson(self.integrand, xs[i], x, self.seg_tol)
 
     def inverse(self, y: float, tol: float) -> float:
         """Solve F(x) = y by bracketed Newton with bisection fallback."""
-        if not self.ys[0] <= y <= self.ys[-1]:
-            raise ValueError(f"{y} outside cumulative range [{self.ys[0]}, {self.ys[-1]}]")
-        i = min(int(np.searchsorted(self.ys, y, side="right")) - 1, len(self.ys) - 2)
-        i = max(i, 0)
-        lo, hi = float(self.xs[i]), float(self.xs[i + 1])
-        flo, fhi = float(self.ys[i]), float(self.ys[i + 1])
+        xs, ys = self._xs, self._ys
+        if not ys[0] <= y <= ys[-1]:
+            raise ValueError(f"{y} outside cumulative range [{ys[0]}, {ys[-1]}]")
+        i = max(min(bisect_right(ys, y) - 1, len(ys) - 2), 0)
+        lo, hi = xs[i], xs[i + 1]
+        flo, fhi = ys[i], ys[i + 1]
         # linear seed, then Newton; derivative is the integrand itself
         x = lo + (hi - lo) * (y - flo) / (fhi - flo)
         for _ in range(100):
@@ -121,7 +123,7 @@ class CumulativeTable:
                 x = step if lo < step < hi else 0.5 * (lo + hi)
             else:
                 x = 0.5 * (lo + hi)
-        return min(max(x, self.span[0]), self.span[1])
+        return min(max(x, xs[0]), xs[-1])
 
 
 def build_cumulative(f, a, b, rel_tol=1e-12, segments=1024) -> CumulativeTable:

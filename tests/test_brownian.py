@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy import stats
+from scipy.special import ndtri
 
 from powersde.brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
@@ -53,6 +55,64 @@ def test_stream_joined_over_chunks_equals_one_shot_sampling(lengths):
     np.testing.assert_array_equal(np.concatenate(parts), whole)
     with pytest.raises(ValueError):
         sample_increment_batch(streams, 1)
+
+
+def _fresh_lattice(seed, first_path, n_paths, level, horizon):
+    """The lattice the randomness contract defines, from a new
+    Philox(key=[seed mod 2^64, p]) per path."""
+    cols = []
+    for p in range(first_path, first_path + n_paths):
+        raw = Philox(key=[seed % (1 << 64), p]).random_raw(1 << level)
+        cols.append(ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53) * np.sqrt(horizon / (1 << level)))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_reused_generators_draw_what_fresh_ones_do(seed):
+    """Streams built on generators that earlier streams used and dropped
+    partway equal new Philox(key=[m, p]) streams, read in chunks, on both
+    sides of 2^63 where numpy promotes the key list differently."""
+    used = PathStreams(7, 0, 6, 7, 1.0)
+    sample_increment_batch(used, 3)
+    before = list(used.generators)
+    del used
+    with np.errstate(invalid="ignore"):  # 2^64 - 1 rounds to 2^64, outside uint64
+        streams = PathStreams(seed, 9, 4, 7, 1.0)
+        expected = _fresh_lattice(seed, 9, 4, 7, 1.0)
+    assert any(g is h for g in streams.generators for h in before)
+    chunks = [sample_increment_batch(streams, n).copy() for n in (1, 31, 64, 32)]
+    np.testing.assert_array_equal(np.concatenate(chunks), expected)
+
+
+def test_live_streams_read_in_alternation_keep_their_own_draws():
+    a = PathStreams(3, 0, 5, 8, 1.0)
+    b = PathStreams(4, 2, 3, 8, 2.0)
+    assert not {id(g) for g in a.generators} & {id(g) for g in b.generators}
+    parts_a, parts_b = [], []
+    for n in (16, 48, 64, 128):
+        parts_a.append(sample_increment_batch(a, n).copy())
+        parts_b.append(sample_increment_batch(b, n).copy())
+    np.testing.assert_array_equal(np.concatenate(parts_a), _lattice(3, 0, 5, 8, 1.0))
+    np.testing.assert_array_equal(np.concatenate(parts_b), _lattice(4, 2, 3, 8, 2.0))
+
+
+def test_a_stream_dropped_partway_leaves_the_next_unchanged():
+    expected = _fresh_lattice(12, 0, 8, 6, 1.0)
+    dropped = PathStreams(12, 0, 8, 6, 1.0)
+    sample_increment_batch(dropped, 5)
+    del dropped
+    np.testing.assert_array_equal(_lattice(12, 0, 8, 6, 1.0), expected)
+
+
+def test_master_seeds_that_round_to_one_double_share_streams():
+    """The key rule as it stands: with m >= 2^63 and p < 2^63 numpy reads
+    [m, p] through float64, so m keeps only its top 53 bits.  Below 2^63 the
+    key is exact.  A fix changes every lattice of such seeds."""
+    top = _lattice(2**63, 0, 2, 5, 1.0)
+    for seed in (2**63 + 1, 2**63 + 1000):
+        np.testing.assert_array_equal(_lattice(seed, 0, 2, 5, 1.0), top)
+    assert not np.array_equal(_lattice(2**63 + 4096, 0, 2, 5, 1.0), top)
+    assert not np.array_equal(_lattice(2**62, 0, 2, 5, 1.0), _lattice(2**62 + 1, 0, 2, 5, 1.0))
 
 
 def test_increments_look_gaussian():

@@ -6,6 +6,10 @@ kept tiny; statistical quality is covered elsewhere.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +323,24 @@ class TestPlumbing:
         cfg = write_ini(tmp_path, "[condition]\nq = -1\n")
         assert run([command, "--config", cfg, flag, "30"]) == 3
         assert "exceeds the memory guard 26" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref_level", ["1", "0"])
+    def test_moments_ref_level_below_two_exits_3(self, tmp_path, capsys, ref_level):
+        cfg = write_ini(tmp_path, "[condition]\nq = -1\n")
+        assert run(["moments", "--config", cfg, "--ref-level", ref_level]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "ref_level" in err
+
+    @pytest.mark.parametrize("module", ["powersde", "powersde.cli"])
+    def test_module_entry_points_list_the_subcommands(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        listed = {line.split()[0] for line in done.stdout.splitlines() if line[:4] == "    " and line[4:5].strip()}
+        assert listed == set(cli._COMMANDS) and len(listed) == 7
 
     def test_every_subcommand_has_help(self):
         lines = cli.build_parser().format_help().splitlines()
