@@ -8,16 +8,16 @@ underlying path, which is what makes pathwise error measurement meaningful.
 Randomness contract
 -------------------
 Increment j of path p under master seed m comes from a counter-based Philox
-stream with the key Philox(key=[m mod 2^64, p]) holds: the j-th 64-bit draw
-r_j is mapped to the open unit interval by u = (floor(r_j / 2^11) + 1/2) *
-2^-53 and then through the inverse normal CDF, scaled by sqrt(T / 2^level).
-numpy reads that key list as one array, so the key is (m mod 2^64, p) only
-while both words lie on the same side of 2^63.  Otherwise both pass through
-float64: for m >= 2^63 and p < 2^53 the key is (uint64(float64(m)), p), and
-master seeds that round to the same double (2^63, 2^63 + 1, 2^63 + 1000)
-share their streams.  Every value is a pure function of (m, p, j), so paths
-can be generated in any order, on any number of workers, with bit-identical
-results.
+stream with the key that Philox(key=[m mod 2^64, p]) holds: the j-th 64-bit
+draw r_j is mapped to the open unit interval by u = (floor(r_j / 2^11) +
+1/2) * 2^-53 and then through the inverse normal CDF, scaled by
+sqrt(T / 2^level).  numpy reads that key list as one array, so the key is
+(m mod 2^64, p) only while both words lie on the same side of 2^63.
+Otherwise both pass through float64: for m >= 2^63 and p < 2^53 the key is
+(uint64(float64(m)), p), and master seeds that round to the same double
+(2^63, 2^63 + 1, 2^63 + 1000) share their streams.  Every value is a pure
+function of (m, p, j), so paths can be generated in any order, on any
+number of workers, with bit-identical results.
 
 A keyed counter stream depends only on its key and counter, so a used
 generator re-keyed with a fresh state draws exactly what a new one would.
