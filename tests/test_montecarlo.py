@@ -348,6 +348,29 @@ def test_estimator_outputs_are_pinned(cir_model):
     assert est.cap_hits == (0, 0, 0)
 
 
+def test_capped_inverse_moment_outputs_are_pinned():
+    """q = -1/2 on a CIR model with nu = 1/4, whose paths reach zero: the
+    power and the default cap both act on every level."""
+    lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.125, theta=1.0, x0=0.25))
+    est = estimate_inverse_moment(lo, -0.5, 1.0, 8, 96, 5, workers=1)
+    assert [float(e).hex() for e in est.estimates] == ["0x1.5920d15d1554bp+3", "0x1.0966c4afe959bp+4", "0x1.6b45f1f5b7403p+4"]
+    assert [float(e).hex() for e in est.stderrs] == ["0x1.e8aab8cac0aa9p-1", "0x1.a97c632daedafp+0", "0x1.43dbc1797f5aap+1"]
+    assert est.cap_hits == (614, 1089, 1575)
+    assert est.divergence_flag
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inverse_moment_of_a_sigma_returning_its_x_is_pinned(workers):
+    """sigma(t, x) = x hands back the very array of nodes it was given, so an
+    integrand clamped, powered or capped in place would overwrite the nodes.
+    Two workers split the three blocks into tasks of unequal width."""
+    model = SdeModel(drift=CoefficientFn(lambda t, x: 0.5 - x), base_sigma=CoefficientFn(lambda t, x: x), gamma=0.5, x0=0.5)
+    est = estimate_inverse_moment(model, -1.0, 1.0, 8, MULTI_BLOCK_PATHS, 5, workers=workers)
+    assert [float(e).hex() for e in est.estimates] == ["0x1.5b01f07bf3628p+2", "0x1.8643a95f1836fp+2", "0x1.b2f626197898cp+2"]
+    assert [float(e).hex() for e in est.stderrs] == ["0x1.5dd20bf3bb6efp-3", "0x1.ccf14356429a6p-3", "0x1.239e9997633d8p-2"]
+    assert est.cap_hits == (1452, 1486, 1477)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_timechange_and_comparison_outputs_are_pinned(workers):
     """Exact reports of a small clock-change and comparison run, with
