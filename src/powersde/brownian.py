@@ -9,15 +9,18 @@ Randomness contract
 -------------------
 Increment j of path p under master seed m comes from a counter-based Philox
 stream with the key that Philox(key=[m mod 2^64, p]) holds: the j-th 64-bit
-draw r_j is mapped to the open unit interval by u = (floor(r_j / 2^11) +
-1/2) * 2^-53 and then through the inverse normal CDF, scaled by
-sqrt(T / 2^level).  numpy reads that key list as one array, so the key is
-(m mod 2^64, p) only while both words lie on the same side of 2^63.
-Otherwise both pass through float64: for m >= 2^63 and p < 2^53 the key is
-(uint64(float64(m)), p), and master seeds that round to the same double
-(2^63, 2^63 + 1, 2^63 + 1000) share their streams.  Every value is a pure
-function of (m, p, j), so paths can be generated in any order, on any
-number of workers, with bit-identical results.
+draw r_j is mapped to the open unit interval by u = fl(floor(r_j / 2^11) +
+1/2) * 2^-53, where fl rounds to float64, ties to even (so for r_j >= 2^63
+the sum is an even integer), and then through the inverse normal CDF, scaled
+by sqrt(T / 2^level).  The draws r_j >= 2^64 - 2^11, whose sum rounds to
+2^53, take u = 1 - 2^-53, the largest double below 1, instead.  numpy reads
+that key list as one array, so the key is (m mod 2^64, p) only while both
+words lie on the same side of 2^63.  Otherwise both pass through float64:
+for m >= 2^63 and p < 2^53 the key is (uint64(float64(m)), p), and master
+seeds that round to the same double (2^63, 2^63 + 1, 2^63 + 1000) share
+their streams.  Every value is a pure function of (m, p, j), so paths can be
+generated in any order, on any number of workers, with bit-identical
+results.
 
 A keyed counter stream depends only on its key and counter, so a used
 generator re-keyed with a fresh state draws exactly what a new one would.
@@ -59,6 +62,7 @@ __all__ = ["PathStreams", "sample_increment_batch", "coarsen_increments", "deriv
 
 _MASK64 = (1 << 64) - 1
 STAGE_VALUES = 1 << 14  # draws mapped to increments together, path-major
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -171,6 +175,7 @@ def sample_increment_batch(streams: PathStreams, n_steps: Optional[int] = None, 
         np.right_shift(raw[:k], 11, out=raw[:k])
         np.add(raw[:k], 0.5, out=u[:k])
         u[:k] *= 2.0**-53
+        np.minimum(u[:k], _BELOW_ONE, out=u[:k])  # floor(r / 2^11) = 2^53 - 1 rounds up to 1
         ndtri(u[:k], out=u[:k])
         np.multiply(u[:k].T, streams.scale, out=out[:, p0 : p0 + k])
     streams.position += n_steps

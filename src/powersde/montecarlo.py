@@ -69,6 +69,9 @@ TASK_PATHS = 4096  # paths one task sweeps together, in whole blocks
 # Fine steps per time chunk.  At least 512, so the inverse-moment chunks at
 # ref_level - 2 hold 128 steps, the leaf size of numpy's pairwise sum.
 CHUNK_STEPS = 512
+# Steps of the inverse-moment integrand built at a time, so its temporaries
+# stay a small fraction of a chunk.
+SLAB_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +384,9 @@ class MomentEstimate:
     capped; by default the cap grows with resolution (cap = 1/dt), which
     makes a divergent moment show up as monotone growth of the estimates
     while a finite moment stays put.  divergence_flag is that growth test.
+    cap_hits[i] counts the capped nodes of the surviving paths at level
+    ref_levels[i]; dropped paths went non-finite at any level and are left
+    out of every field.
     """
 
     q: float
@@ -391,6 +397,7 @@ class MomentEstimate:
     caps: tuple[float, ...]
     growth_factor: float
     divergence_flag: bool
+    dropped: int
 
     def __post_init__(self):
         if np.any(self.estimates < 0.0):
@@ -404,6 +411,34 @@ def _sigma_rows(grid: EulerGrid, k0: int, x: np.ndarray):
     states x, from the grid's table of time-only parts."""
     rows = grid.sigma[k0 : k0 + len(x)]
     return grid.model.base_sigma.fn(*(column[:, None] for column in rows.T), x)
+
+
+def _capped_row_sums(grid, k0, last, nodes, q, cap, hits, scratch, slab):
+    """Each path's sum of the capped integrand over one chunk's steps.
+
+    The integrand min(max(sigma, 0)^q, cap) is taken at the left end of
+    each step k0 .. k0 + len(nodes) - 1: node k0 is last, the rest are the
+    chunk's nodes but its final one.  It is built SLAB_STEPS rows at a time
+    in the flat buffer slab and written transposed into the flat buffer
+    scratch, so that each path's chunk is summed along one contiguous row.
+    Values above the cap (NaN included) count in hits, per path.
+    """
+    n, b = nodes.shape
+    rows = scratch[: b * n].reshape(b, n)
+    for r0 in range(0, n, SLAB_STEPS):
+        r1 = min(r0 + SLAB_STEPS, n)
+        left = nodes[r0 - 1 : r1 - 1] if r0 else np.concatenate([last, nodes[: r1 - 1]])
+        # our own array, since sigma may return its x (a view of the nodes)
+        # or a scalar; contiguous, so numpy runs the loops a whole chunk took
+        sig = slab[: (r1 - r0) * b].reshape(r1 - r0, b)
+        np.maximum(_sigma_rows(grid, k0 + r0, left), 0.0, out=sig)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sig **= q
+        over = ~(sig <= cap)
+        hits += over.sum(axis=0)
+        np.copyto(sig, cap, where=over)
+        rows[:, r0:r1] = sig.T
+    return rows.sum(axis=1)
 
 
 def _pairwise_total(parts: list) -> np.ndarray:
@@ -432,14 +467,20 @@ def estimate_inverse_moment(
 ) -> MomentEstimate:
     """Estimate int_0^T E[sigma(t, X_t)^q] dt on reference paths.
 
-    The integrand is evaluated at the left endpoint of every step of the
-    reference grid and averaged over paths.  Values above the cap (including
-    the infinite values where sigma = 0) contribute the cap and are counted.
-    cap=None couples the cap to resolution as 1/dt; a fixed numeric cap
-    applies unchanged at every level.  The same lattices are re-run at the
-    two next-coarser reference levels, each halved from the level above it,
-    and the divergence flag fires when the three estimates grow
-    monotonically by more than growth_factor.
+    The integrand max(sigma, 0)^q is evaluated at the left endpoint of
+    every step of the reference grid and averaged over the surviving paths.
+    Values above the cap (including the infinite values where sigma = 0)
+    contribute the cap and are counted.  cap=None couples the cap to
+    resolution as 1/dt; a fixed numeric cap applies unchanged at every
+    level.  The same lattices are re-run at the two next-coarser reference
+    levels, each halved from the level above it, and the divergence flag
+    fires when the three estimates grow monotonically by more than
+    growth_factor.  q = 0 simulates nothing: every estimate is the horizon.
+
+    Memory: besides its lattice chunk and each level's kept nodes in turn,
+    a task holds one path-major chunk of integrand values, filled
+    SLAB_STEPS steps at a time, and one sum per path, chunk and level,
+    which are combined pairwise at the end.
     """
     if q > 0.0:
         raise ValueError("q must be nonpositive")
@@ -465,6 +506,7 @@ def estimate_inverse_moment(
             caps=tuple(caps),
             growth_factor=growth_factor,
             divergence_flag=False,
+            dropped=0,
         )
 
     grids = [EulerGrid(model, horizon, 1 << level) for level in ref_levels]
@@ -478,22 +520,21 @@ def estimate_inverse_moment(
         last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
         chunk_sums = [[] for _ in ref_levels]
         cap_hits = [np.zeros(b, dtype=np.int64) for _ in ref_levels]
+        # width wide, like the chunk buffer, so every task asks for the same sizes
+        scratch = np.empty(width * chunk)
+        slab = np.empty(width * SLAB_STEPS)
         for inc in _chunks(streams, chunk, width):
             for i in reversed(range(len(ref_levels))):
                 if ref_levels[i] < ref_level:
                     inc = coarsen_increments(inc, 1)
                 k0 = sweeps[i].step
                 nodes = euler_batch(sweeps[i], inc)
-                left = np.concatenate([last[i], nodes[:-1]])
-                last[i] = nodes[-1:]
-                sig = np.maximum(np.asarray(_sigma_rows(grids[i], k0, left), dtype=float), 0.0)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    integrand = sig**q
-                over = ~(integrand <= caps[i])
-                cap_hits[i] += over.sum(axis=0)
-                capped = np.where(over, caps[i], integrand)
-                # each path's chunk summed along a contiguous row
-                chunk_sums[i].append(np.ascontiguousarray(capped.T).sum(axis=1))
+                sums = _capped_row_sums(grids[i], k0, last[i], nodes, q, caps[i], cap_hits[i], scratch, slab)
+                chunk_sums[i].append(sums)
+                # copied, so that no view keeps this level's nodes alive
+                # through the next level's sweep
+                last[i] = nodes[-1:].copy()
+                del nodes
         bad = np.zeros(b, dtype=bool)
         for sweep in sweeps:
             bad |= sweep.first_bad >= 0
@@ -506,7 +547,7 @@ def estimate_inverse_moment(
         sums = []
         for integral, hits in zip(per_path, cap_hits):
             kept = integral[block][good]
-            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[block].sum())]
+            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[block][good].sum())]
         return tuple(sums), int(bad[block].sum())
 
     sums, dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
@@ -533,6 +574,7 @@ def estimate_inverse_moment(
         caps=tuple(caps),
         growth_factor=growth_factor,
         divergence_flag=grows,
+        dropped=dropped,
     )
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -8,6 +6,7 @@ from scipy.special import ndtri
 
 from powersde.brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
+from allocations import traced_peak
 from sweeps import euler_run
 
 
@@ -158,14 +157,36 @@ def test_coarsen_composes_along_the_ladder():
 
 
 def test_sampling_allocates_only_its_output():
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        out = _lattice(8, 0, 256, 12, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: _lattice(8, 0, 256, 12, 1.0))
     assert peak < 1.25 * out.nbytes
+
+
+def _increments_of_raw_draws(draws, horizon=1.0):
+    """The increments a one-path stream makes of the given raw 64-bit draws,
+    fed through the generator's buffer."""
+    streams = PathStreams(0, 0, 1, 2, horizon)
+    gen = streams.generators[0]
+    state = gen.state
+    state["buffer"] = tuple(draws)
+    state["buffer_pos"] = 0
+    gen.state = state
+    return sample_increment_batch(streams, len(draws))[:, 0]
+
+
+def test_the_largest_draws_give_a_finite_increment():
+    """floor(r / 2^11) + 1/2 rounds to 2^53 in float64 for the top 2^11 raw
+    draws, which made u = 1 and an infinite increment.  Those draws take the
+    largest u below 1; every other draw keeps the bits of the plain map."""
+    draws = [(1 << 64) - 1, (1 << 64) - (1 << 11), (1 << 64) - (1 << 12), 0]
+    inc = _increments_of_raw_draws(draws)
+    scale = np.sqrt(1.0 / 4)
+    assert np.isfinite(inc).all()
+    assert inc[0] == inc[1] == ndtri(np.nextafter(1.0, 0.0)) * scale
+    # 2^53 - 2 + 1/2 rounds to the even 2^53 - 2, so u = 1 - 2^-52
+    for draw, value in zip(draws[2:], inc[2:]):
+        u = (np.uint64(draw >> 11) + 0.5) * 2.0**-53
+        assert u < 1.0
+        assert value == ndtri(u) * scale
 
 
 def test_coarsen_increments_batched():

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from powersde.montecarlo import (
     estimate_strong_error,
     timechange_check,
 )
+from allocations import traced_peak
 from sweeps import euler_run
 
 
@@ -220,6 +220,29 @@ class TestInverseMoment:
         assert est.caps == (5.0, 5.0, 5.0)
         assert est.cap_hits == (16 * 16, 16 * 32, 16 * 64)
 
+    def test_cap_hits_count_surviving_paths_only(self):
+        """Dropped paths read NaN after they explode, which used to count as
+        a cap hit at every later node.  Every surviving integrand here is
+        exactly 1, under every cap."""
+        m = SdeModel(
+            drift=CoefficientFn(lambda t, x: np.where(x > 1.2, np.inf, 0.0)),
+            base_sigma=_const(1.0),
+            gamma=0.5,
+            x0=1.0,
+        )
+        est = estimate_inverse_moment(m, -1.0, 1.0, 8, 64, 3, on_explosion="drop", workers=1)
+        assert 0 < est.dropped < 64
+        assert est.cap_hits == (0, 0, 0)
+        assert list(est.estimates) == [1.0, 1.0, 1.0]
+
+    def test_scalar_sigma(self):
+        """A sigma that returns a Python float, as the Euler kernel accepts."""
+        m = SdeModel(drift=_const(0.0), base_sigma=lambda t, x: 1.0, gamma=0.5, x0=0.0)
+        est = estimate_inverse_moment(m, -1.0, 1.0, 6, 16, 0, workers=1)
+        assert list(est.estimates) == [1.0, 1.0, 1.0]
+        assert est.cap_hits == (0, 0, 0)
+        assert est.dropped == 0
+
     def test_positive_q_rejected(self, cir_model):
         with pytest.raises(ValueError):
             estimate_inverse_moment(cir_model, 0.5, 1.0, 8, 16, 0)
@@ -404,11 +427,14 @@ def test_strong_error_task_holds_a_chunk_not_the_lattice(cir_model):
     cfg = ExperimentConfig(
         model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, master_seed=3
     )
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        estimate_strong_error(cfg, workers=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: estimate_strong_error(cfg, workers=1))
     assert peak < cfg.paths * (1 << cfg.ref_level) * 8 / 4
+
+
+def test_inverse_moment_task_holds_a_few_chunks(cir_model):
+    """One 512-path inverse-moment task holds its lattice chunk, the chunk's
+    two halvings, one level's kept nodes, one path-major chunk of integrand
+    values and a few small slabs: under five chunk-sized arrays."""
+    paths = 512
+    _, peak = traced_peak(lambda: estimate_inverse_moment(cir_model, -1.0, 1.0, 10, paths, 3, workers=1))
+    assert peak < 5 * paths * montecarlo.CHUNK_STEPS * 8
