@@ -382,6 +382,33 @@ def test_capped_inverse_moment_outputs_are_pinned():
     assert est.divergence_flag
 
 
+@pytest.mark.parametrize(
+    "ref_level, estimates, stderrs, cap_hits",
+    [
+        (
+            12,
+            ["0x1.e88b92f09e0c1p+3", "0x1.39bf1f4a91bdep+4", "0x1.a0dd27f7d503fp+4"],
+            ["0x1.ab8027039572ap-1", "0x1.208d983b82405p+0", "0x1.8a65d81e29e55p+0"],
+            (6122, 8527, 12192),
+        ),
+        (
+            14,
+            ["0x1.72f2f93686826p+4", "0x1.ecd58eb70007bp+4", "0x1.43f36ab052f5ep+5"],
+            ["0x1.6d69d5198ab39p+0", "0x1.fccc87b912d8ep+0", "0x1.57f079d982021p+1"],
+            (10707, 15073, 20748),
+        ),
+    ],
+)
+def test_many_chunk_inverse_moment_outputs_are_pinned(ref_level, estimates, stderrs, cap_hits):
+    """A capped q = -1/2 run over 8 (ref 12) and 32 (ref 14) lattice chunks
+    per level, so that the order in which chunk sums are combined shows."""
+    model = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=0.25))
+    est = estimate_inverse_moment(model, -0.5, 1.0, ref_level, 600, 7, workers=1)
+    assert [float(e).hex() for e in est.estimates] == estimates
+    assert [float(e).hex() for e in est.stderrs] == stderrs
+    assert est.cap_hits == cap_hits
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_inverse_moment_of_a_sigma_returning_its_x_is_pinned(workers):
     """sigma(t, x) = x hands back the very array of nodes it was given, so an
