@@ -35,14 +35,7 @@ from .errors import (
     SimulationAbort,
 )
 from .inequalities import concave_power_gap, power_gap_bound
-from .models import (
-    CoefficientFn,
-    CoefficientMeta,
-    PrototypeParams,
-    SdeModel,
-    eval_diffusion,
-    make_prototype,
-)
+from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import (
     ComparisonReport,
     ConvergenceReport,
@@ -55,7 +48,6 @@ from .montecarlo import (
     timechange_check,
 )
 from .params import AffineParam, ConstantParam, SinusoidalParam, as_param
-from .validation import ValidationReport, validate_assumptions
 
 __version__ = "0.1.0"
 
@@ -63,7 +55,6 @@ __all__ = [
     "AffineParam",
     "AutonomousModel",
     "CoefficientFn",
-    "CoefficientMeta",
     "ComparisonReport",
     "ConfigError",
     "ConstantParam",
@@ -82,7 +73,6 @@ __all__ = [
     "SinusoidalParam",
     "TimeChange",
     "TimeChangeReport",
-    "ValidationReport",
     "as_param",
     "autonomous_from_prototype",
     "build_timechange",
@@ -91,7 +81,6 @@ __all__ = [
     "derive_seed",
     "estimate_inverse_moment",
     "estimate_strong_error",
-    "eval_diffusion",
     "feller_test",
     "ito_criterion",
     "make_prototype",
@@ -100,6 +89,5 @@ __all__ = [
     "theorem_rate",
     "time_changed_model",
     "timechange_check",
-    "validate_assumptions",
     "__version__",
 ]

@@ -14,6 +14,9 @@ family spec:
     theta = affine:1.0,0.5        # 1.0 + 0.5 t
     kappa = sin:1.0,0.5,6.2832    # 1.0 + 0.5 sin(6.2832 t)
 
+Every number must be finite, except the ``domain`` endpoints of a custom
+model, where ``inf`` marks an unbounded side.
+
 ``levels`` is an inclusive range ``4:9`` or an explicit list ``4,6,8``.
 No level, ``ref_level`` included, may exceed the memory guard ``MAX_LEVEL``
 (26).
@@ -30,13 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import (
-    CoefficientFn,
-    CoefficientMeta,
-    PrototypeParams,
-    SdeModel,
-    make_prototype,
-)
+from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import BLOCK_PATHS
 from .params import AffineParam, ConstantParam, SinusoidalParam
 from .schemes import MAX_LEVEL
@@ -63,27 +60,11 @@ def _const_fn(v):
 
 
 BUILTIN_COEFFICIENTS = {
-    "zero": CoefficientFn(
-        _const_fn(0.0), CoefficientMeta(lipschitz_K=0.0, holder_half_K=0.0, nonnegative=True), "zero"
-    ),
-    "one": CoefficientFn(
-        _const_fn(1.0), CoefficientMeta(lipschitz_K=0.0, holder_half_K=0.0, nonnegative=True), "one"
-    ),
-    "identity": CoefficientFn(
-        lambda t, x: x + 0.0 * np.asarray(t),
-        CoefficientMeta(lipschitz_K=1.0, holder_half_K=0.0, nonnegative=False),
-        "identity",
-    ),
-    "neg_x": CoefficientFn(
-        lambda t, x: -x + 0.0 * np.asarray(t),
-        CoefficientMeta(lipschitz_K=1.0, holder_half_K=0.0, nonnegative=False),
-        "neg_x",
-    ),
-    "x_plus": CoefficientFn(
-        lambda t, x: np.maximum(x, 0.0) + 0.0 * np.asarray(t),
-        CoefficientMeta(lipschitz_K=1.0, holder_half_K=0.0, nonnegative=True),
-        "x_plus",
-    ),
+    "zero": CoefficientFn(_const_fn(0.0)),
+    "one": CoefficientFn(_const_fn(1.0)),
+    "identity": CoefficientFn(lambda t, x: x + 0.0 * np.asarray(t)),
+    "neg_x": CoefficientFn(lambda t, x: -x + 0.0 * np.asarray(t)),
+    "x_plus": CoefficientFn(lambda t, x: np.maximum(x, 0.0) + 0.0 * np.asarray(t)),
 }
 
 
@@ -91,20 +72,22 @@ BUILTIN_COEFFICIENTS = {
 # value parsers
 
 def parse_param_spec(text: str, where: str):
-    """A bare number, or one of const:v | affine:p,q | sin:p,q,omega."""
+    """A bare number, or one of const:v | affine:p,q | sin:p,q,omega, with
+    every number finite."""
     text = text.strip()
     try:
-        return ConstantParam(float(text))
+        family, parts = "const", [float(text)]
     except ValueError:
-        pass
-    if ":" not in text:
-        raise ConfigError(f"{where}: cannot parse {text!r} as a parameter spec")
-    family, _, body = text.partition(":")
-    family = family.strip().lower()
-    try:
-        parts = [float(p) for p in body.split(",")]
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse {text!r}: non-numeric arguments")
+        if ":" not in text:
+            raise ConfigError(f"{where}: cannot parse {text!r} as a parameter spec")
+        family, _, body = text.partition(":")
+        family = family.strip().lower()
+        try:
+            parts = [float(p) for p in body.split(",")]
+        except ValueError:
+            raise ConfigError(f"{where}: cannot parse {text!r}: non-numeric arguments")
+    if not all(math.isfinite(p) for p in parts):
+        raise ConfigError(f"{where}: {text!r} is not finite")
     try:
         if family in ("const", "constant") and len(parts) == 1:
             return ConstantParam(parts[0])
@@ -140,9 +123,12 @@ def _get_float(sec, section, key, default=None):
             raise ConfigError(f"[{section}] {key}: required key is missing")
         return default
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {sec[key]!r} as a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {sec[key]!r} is not finite")
+    return value
 
 
 def _get_int(sec, section, key, default=None):

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .models import PrototypeParams, SdeModel, CoefficientFn, CoefficientMeta, _theta_positive
+from .models import PrototypeParams, SdeModel, CoefficientFn, _theta_positive
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
 
@@ -661,9 +661,7 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
     def drift_fn(k, l, th2, x):
         return k * (l - x) / th2
 
-    drift = CoefficientFn(
-        drift_fn, CoefficientMeta(), name=f"{params.kind}-drift-timechanged", time=drift_time
-    )
+    drift = CoefficientFn(drift_fn, time=drift_time)
 
     if params.kind == "wf":
 
@@ -681,14 +679,9 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
         domain = (0.0, math.inf)
 
     gamma = 0.5 if params.kind in ("cir", "wf") else float(params.gamma)
-    base_sigma = CoefficientFn(
-        sigma_fn,
-        CoefficientMeta(lipschitz_K=1.0, holder_half_K=0.0, nonnegative=True),
-        name=f"{params.kind}-sigma-unit",
-    )
     return SdeModel(
         drift=drift,
-        base_sigma=base_sigma,
+        base_sigma=CoefficientFn(sigma_fn),
         gamma=gamma,
         x0=params.x0,
         domain=domain,

@@ -17,37 +17,20 @@ elasticity family with exponent gamma in (1/2, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidCoefficientError
 from .params import as_param
 
 __all__ = [
-    "CoefficientMeta",
     "CoefficientFn",
     "SdeModel",
     "PrototypeParams",
     "make_prototype",
-    "eval_diffusion",
     "clamped_power",
 ]
-
-
-@dataclass(frozen=True)
-class CoefficientMeta:
-    """Declared regularity constants; None means unknown.
-
-    lipschitz_K bounds |f(t,x)-f(t,y)| / |x-y|; holder_half_K bounds
-    |f(t,x)-f(s,x)| / ((1+|x|) |t-s|^{1/2}); nonnegative claims f >= 0.
-    Sampling validators falsify these claims, they cannot prove them.
-    """
-
-    lipschitz_K: Optional[float] = None
-    holder_half_K: Optional[float] = None
-    nonnegative: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,8 +46,6 @@ class CoefficientFn:
     """
 
     fn: Callable
-    meta: CoefficientMeta = field(default_factory=CoefficientMeta)
-    name: str = ""
     time: Optional[Callable] = None
 
     def __call__(self, t, x):
@@ -97,7 +78,7 @@ class SdeModel:
     domain is metadata for the boundary criteria; simulation runs on all of
     the real line and relies on the clamps inside sigma, never on projection.
     A plain callable (t, x) -> value given as drift or base_sigma is wrapped
-    in a CoefficientFn with no declared constants.
+    in a CoefficientFn with no time-only part.
     """
 
     drift: CoefficientFn
@@ -124,28 +105,6 @@ class SdeModel:
                 raise ValueError(f"x0={self.x0} outside domain ({lo}, {hi})")
 
 
-def eval_diffusion(model: SdeModel, t, x):
-    """Effective diffusion c(t, x) = max(sigma(t, x), 0)^gamma.
-
-    Clamping before the power keeps c real when a user sigma rounds a hair
-    below zero, and gives exactly 0 at the degeneracy set.
-    """
-    sig = np.asarray(model.base_sigma(t, x), dtype=float)
-    if not np.all(np.isfinite(sig)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(sig)))
-        idx = tuple(bad[0]) if bad.size else ()
-        with np.errstate(invalid="ignore"):
-            t_bad = np.atleast_1d(np.broadcast_arrays(np.asarray(t, dtype=float), sig)[0])[idx] if idx else t
-            x_bad = np.atleast_1d(np.broadcast_arrays(np.asarray(x, dtype=float), sig)[0])[idx] if idx else x
-        raise InvalidCoefficientError(
-            f"base sigma returned a non-finite value at (t={t_bad}, x={x_bad})",
-            t=t_bad,
-            x=x_bad,
-        )
-    c = clamped_power(sig, model.gamma)
-    return c if sig.ndim else float(c)
-
-
 def clamped_power(sig, gamma: float):
     """max(sig, 0)^gamma, the one diffusion clamp of the package.
 
@@ -162,8 +121,8 @@ class PrototypeParams:
 
     kind is one of "cir", "wf", "ckls".  kappa, lam, theta accept numbers or
     members of the params family; gamma applies to "ckls" only and must lie
-    in (1/2, 1).  horizon is the interval on which theta-positivity and the
-    regularity constants are certified.
+    in (1/2, 1).  horizon, finite and positive, is the interval on which
+    theta must stay positive.
     """
 
     kind: str
@@ -180,8 +139,8 @@ class PrototypeParams:
         object.__setattr__(self, "kappa", as_param(self.kappa))
         object.__setattr__(self, "lam", as_param(self.lam))
         object.__setattr__(self, "theta", as_param(self.theta))
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.kind == "ckls":
             if self.gamma is None or not 0.5 < self.gamma < 1.0:
                 raise ValueError("ckls requires gamma in (1/2, 1)")
@@ -195,11 +154,6 @@ def _theta_positive(theta, horizon: float) -> None:
     vals = np.asarray(theta(grid), dtype=float)
     if lo <= 0.0 or np.any(vals <= 0.0):
         raise ValueError("theta must be strictly positive on [0, horizon]")
-
-
-def _abs_sup(param, horizon: float) -> float:
-    lo, hi = param.bounds(horizon)
-    return max(abs(lo), abs(hi))
 
 
 def make_prototype(params: PrototypeParams) -> SdeModel:
@@ -217,9 +171,8 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     bounded away from zero so the reparametrization stays 1/2-Hoelder.
     """
     kind = params.kind
-    T = params.horizon
     kappa, lam, theta = params.kappa, params.lam, params.theta
-    _theta_positive(theta, T)
+    _theta_positive(theta, params.horizon)
 
     if kind in ("cir", "ckls"):
         domain = (0.0, math.inf)
@@ -230,30 +183,13 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
         if not 0.0 < params.x0 < 1.0:
             raise ValueError("x0 must lie in (0, 1)")
 
-    sup_kappa = _abs_sup(kappa, T)
-    sup_lam = _abs_sup(lam, T)
-    sup_theta = theta.bounds(T)[1]
-    hol_kappa = kappa.holder_half(T)
-    hol_lam = lam.holder_half(T)
-    hol_theta = theta.holder_half(T)
-
     def drift_time(t):
         return kappa(t), lam(t)
 
     def drift_fn(k, l, x):
         return k * (l - x)
 
-    hol_product = sup_kappa * hol_lam + sup_lam * hol_kappa
-    drift = CoefficientFn(
-        drift_fn,
-        CoefficientMeta(
-            lipschitz_K=sup_kappa,
-            holder_half_K=max(hol_product, hol_kappa),
-            nonnegative=False,
-        ),
-        name=f"{kind}-drift",
-        time=drift_time,
-    )
+    drift = CoefficientFn(drift_fn, time=drift_time)
 
     def theta_squared(t):
         th = theta(t)
@@ -266,11 +202,6 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
         def sigma_fn(th2, x):
             return th2 * np.maximum(x, 0.0)
 
-        sigma_meta = CoefficientMeta(
-            lipschitz_K=sup_theta**2,
-            holder_half_K=2.0 * sup_theta * hol_theta,
-            nonnegative=True,
-        )
     elif kind == "wf":
         gamma = 0.5
         sigma_time = theta_squared
@@ -280,12 +211,6 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
             out = th2 * np.maximum(x * (1.0 - x), 0.0)
             return out if out.ndim else float(out)
 
-        # x(1-x) is capped at 1/4, so the time-increment bound tightens by 4
-        sigma_meta = CoefficientMeta(
-            lipschitz_K=sup_theta**2,
-            holder_half_K=0.5 * sup_theta * hol_theta,
-            nonnegative=True,
-        )
     else:
         gamma = float(params.gamma)
         inv_gamma = 1.0 / gamma
@@ -298,13 +223,7 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
         def sigma_fn(scale, x):
             return scale * np.maximum(x, 0.0)
 
-        sigma_meta = CoefficientMeta(
-            lipschitz_K=sup_theta**inv_gamma,
-            holder_half_K=inv_gamma * sup_theta ** (inv_gamma - 1.0) * hol_theta,
-            nonnegative=True,
-        )
-
-    base_sigma = CoefficientFn(sigma_fn, sigma_meta, name=f"{kind}-sigma", time=sigma_time)
+    base_sigma = CoefficientFn(sigma_fn, time=sigma_time)
     return SdeModel(
         drift=drift,
         base_sigma=base_sigma,

@@ -441,16 +441,21 @@ def _capped_row_sums(grid, k0, last, nodes, q, cap, hits, scratch, slab):
     return rows.sum(axis=1)
 
 
-def _pairwise_total(parts: list) -> np.ndarray:
-    """Combine equal power-of-two chunk sums in a binary tree.
+def _merge_partial(partials: list, part: np.ndarray) -> None:
+    """Push one chunk's sums onto partials, a stack of (chunks, sums) with
+    the oldest at the bottom, adding equal-size neighbours like a binary
+    counter, the older on the left.
 
-    numpy sums a contiguous row pairwise, halving down to 128-element
-    leaves, so for chunks of at least 128 steps (or a single chunk) this
-    equals the sum of the whole row bit for bit.
+    After a power-of-two count of chunks the stack holds one entry, the
+    sums combined in a binary tree.  numpy sums a contiguous row pairwise,
+    halving down to 128-element leaves, so for chunks of at least 128 steps
+    (or a single chunk) this equals the sum of the whole row bit for bit.
     """
-    while len(parts) > 1:
-        parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
-    return parts[0]
+    size = 1
+    while partials and partials[-1][0] == size:
+        part = partials.pop()[1] + part
+        size *= 2
+    partials.append((size, part))
 
 
 def estimate_inverse_moment(
@@ -479,8 +484,8 @@ def estimate_inverse_moment(
 
     Memory: besides its lattice chunk and each level's kept nodes in turn,
     a task holds one path-major chunk of integrand values, filled
-    SLAB_STEPS steps at a time, and one sum per path, chunk and level,
-    which are combined pairwise at the end.
+    SLAB_STEPS steps at a time, and per path and level the chunk sums,
+    merged as they arrive: at most 1 + log2(chunks) of them.
     """
     if q > 0.0:
         raise ValueError("q must be nonpositive")
@@ -518,7 +523,7 @@ def estimate_inverse_moment(
         sweeps = [EulerSweep(grid, b, rank=len(grids) - 1 - i) for i, grid in enumerate(grids)]
         # the node before each sweep's next chunk: x_{k0}, the first left end
         last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
-        chunk_sums = [[] for _ in ref_levels]
+        partials = [[] for _ in ref_levels]
         cap_hits = [np.zeros(b, dtype=np.int64) for _ in ref_levels]
         # width wide, like the chunk buffer, so every task asks for the same sizes
         scratch = np.empty(width * chunk)
@@ -530,7 +535,7 @@ def estimate_inverse_moment(
                 k0 = sweeps[i].step
                 nodes = euler_batch(sweeps[i], inc)
                 sums = _capped_row_sums(grids[i], k0, last[i], nodes, q, caps[i], cap_hits[i], scratch, slab)
-                chunk_sums[i].append(sums)
+                _merge_partial(partials[i], sums)
                 # copied, so that no view keeps this level's nodes alive
                 # through the next level's sweep
                 last[i] = nodes[-1:].copy()
@@ -538,7 +543,8 @@ def estimate_inverse_moment(
         bad = np.zeros(b, dtype=bool)
         for sweep in sweeps:
             bad |= sweep.first_bad >= 0
-        per_path = [_pairwise_total(parts) * grid.dt for parts, grid in zip(chunk_sums, grids)]
+        # the chunk count is a power of two, so one partial is left per level
+        per_path = [total * grid.dt for [(_, total)], grid in zip(partials, grids)]
         return per_path, cap_hits, bad
 
     def reduce_block(results, block):

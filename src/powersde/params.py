@@ -1,9 +1,8 @@
 """Time-dependent model parameters from a small closed-form family.
 
-Every family member evaluates pointwise (scalars or arrays), knows its exact
-range on a finite horizon, and carries a closed-form bound on its Hoelder-1/2
-seminorm  sup_{s!=t} |f(t)-f(s)| / |t-s|^{1/2}.  Restricting kappa, lambda and
-theta to this family keeps regularity constants computable instead of sampled.
+Every family member evaluates pointwise (scalars or arrays) and knows its
+exact range on a finite horizon, which is how theta is checked to stay
+positive.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ class ConstantParam:
     def bounds(self, horizon: float) -> tuple[float, float]:
         return (self.value, self.value)
 
-    def holder_half(self, horizon: float) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class AffineParam:
@@ -58,10 +54,6 @@ class AffineParam:
         a = self.p
         b = self.p + self.q * horizon
         return (min(a, b), max(a, b))
-
-    def holder_half(self, horizon: float) -> float:
-        # |q||t-s| = |q| |t-s|^{1/2} |t-s|^{1/2} <= |q| sqrt(T) |t-s|^{1/2}
-        return abs(self.q) * math.sqrt(horizon)
 
 
 def _sin_range(omega: float, horizon: float) -> tuple[float, float]:
@@ -92,17 +84,6 @@ class SinusoidalParam:
         lo, hi = _sin_range(self.omega, horizon)
         vals = (self.p + self.q * lo, self.p + self.q * hi)
         return (min(vals), max(vals))
-
-    def holder_half(self, horizon: float) -> float:
-        # |sin(wt)-sin(ws)| <= min(|w||t-s|, 2).  On |t-s| <= 2/|w| the first
-        # branch gives ratio <= |w| sqrt(|t-s|); beyond it the second gives
-        # 2/sqrt(|t-s|) <= sqrt(2|w|).  Both branches meet at sqrt(2|w|).
-        w = abs(self.omega)
-        if w == 0.0:
-            return 0.0
-        if w * horizon <= 2.0:
-            return abs(self.q) * w * math.sqrt(horizon)
-        return abs(self.q) * math.sqrt(2.0 * w)
 
 
 def as_param(value):

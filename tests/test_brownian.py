@@ -5,7 +5,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from powersde.brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
-from powersde.models import CoefficientFn, CoefficientMeta, SdeModel
+from powersde.models import CoefficientFn, SdeModel
 from allocations import traced_peak
 from sweeps import euler_run
 
@@ -198,8 +198,8 @@ def test_coarsen_increments_batched():
 def _brownian_nodes(increments, keep_stride=1):
     """W(t_k) as the reference run of dX = dW from 0, kept every keep_stride
     fine steps: the left-to-right prefix sums of the finest increments."""
-    zero = CoefficientFn(lambda t, x: 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
-    unit = CoefficientFn(lambda t, x: 1.0 + 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
+    zero = CoefficientFn(lambda t, x: 0.0 * np.asarray(x, dtype=float))
+    unit = CoefficientFn(lambda t, x: 1.0 + 0.0 * np.asarray(x, dtype=float))
     model = SdeModel(drift=zero, base_sigma=unit, gamma=0.5, x0=0.0)
     return euler_run(model, increments[:, None], 1.0, keep_stride=keep_stride)[0][0]
 

@@ -16,7 +16,7 @@ import pytest
 
 from powersde import cli
 from powersde.config import BUILTIN_COEFFICIENTS
-from powersde.models import CoefficientFn, CoefficientMeta
+from powersde.models import CoefficientFn
 
 
 def run(argv):
@@ -290,7 +290,7 @@ class TestPlumbing:
         assert f"{key}: this key was removed" in capsys.readouterr().err
 
     def test_invalid_coefficient_exits_5(self, tmp_path, monkeypatch, capsys):
-        nan = CoefficientFn(lambda t, x: np.full(np.shape(x), np.nan), CoefficientMeta(), "nan")
+        nan = CoefficientFn(lambda t, x: np.full(np.shape(x), np.nan))
         monkeypatch.setitem(BUILTIN_COEFFICIENTS, "nan", nan)
         cfg = write_ini(tmp_path, SMALL + "\n[model]\nkind = custom\ndrift = zero\nsigma = nan\n")
         assert run(["converge", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 5
@@ -323,6 +323,14 @@ class TestPlumbing:
         cfg = write_ini(tmp_path, "[condition]\nq = -1\n")
         assert run([command, "--config", cfg, flag, "30"]) == 3
         assert "exceeds the memory guard 26" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,key,value", [("converge", "horizon", "nan"), ("predict", "kappa", "inf"), ("feller", "theta", "nan")]
+    )
+    def test_non_finite_model_number_exits_3(self, tmp_path, capsys, command, key, value):
+        cfg = write_ini(tmp_path, SMALL + f"[model]\n{key} = {value}\n")
+        assert run([command, "--config", cfg]) == 3
+        assert f"[model] {key}: '{value}' is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ref_level", ["1", "0"])
     def test_moments_ref_level_below_two_exits_3(self, tmp_path, capsys, ref_level):

@@ -35,6 +35,11 @@ class TestParamSpec:
         with pytest.raises(ConfigError, match="spot"):
             parse_param_spec(text, "spot")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "const:nan", "affine:1,inf", "sin:1,0.5,-inf"])
+    def test_non_finite_numbers_name_the_location(self, text):
+        with pytest.raises(ConfigError, match="spot: .* is not finite"):
+            parse_param_spec(text, "spot")
+
 
 class TestLevels:
     def test_range(self):
@@ -162,6 +167,27 @@ seed = 9
         assert resolve_config({"condition": {"cap": "100"}}).cap == 100.0
         with pytest.raises(ConfigError):
             resolve_config({"condition": {"cap": "-1"}})
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "horizon", "nan"),
+            ("model", "horizon", "inf"),
+            ("model", "kappa", "inf"),
+            ("model", "theta", "nan"),
+            ("condition", "q", "nan"),
+            ("condition", "cap", "inf"),
+            ("condition", "growth_factor", "inf"),
+            ("condition", "tolerance", "inf"),
+        ],
+    )
+    def test_non_finite_numbers_name_the_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: '{value}' is not finite"):
+            resolve_config({section: {key: value}})
+
+    def test_domain_endpoints_may_be_infinite(self):
+        raw = {"model": {"kind": "custom", "drift": "neg_x", "sigma": "one", "domain": "-inf,inf"}}
+        assert resolve_config(raw).model.domain == (-float("inf"), float("inf"))
 
     def test_bad_model_parameters_become_config_errors(self):
         raw = {"model": {"kind": "wf", "x0": "1.5"}}

@@ -6,7 +6,7 @@ import pytest
 
 from powersde.brownian import PathStreams, derive_seed, sample_increment_batch
 from powersde.errors import HypothesisError, InvalidCoefficientError, SimulationAbort
-from powersde.models import CoefficientFn, CoefficientMeta, PrototypeParams, SdeModel, make_prototype
+from powersde.models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from powersde.params import AffineParam, SinusoidalParam
 from powersde import montecarlo
 from powersde.montecarlo import (
@@ -23,17 +23,11 @@ from sweeps import euler_run
 
 
 def _const(v):
-    return CoefficientFn(
-        lambda t, x: v + 0.0 * np.asarray(x, dtype=float),
-        CoefficientMeta(lipschitz_K=0.0, holder_half_K=0.0, nonnegative=v >= 0.0),
-    )
+    return CoefficientFn(lambda t, x: v + 0.0 * np.asarray(x, dtype=float))
 
 
 def _neg_x():
-    return CoefficientFn(
-        lambda t, x: -np.asarray(x, dtype=float),
-        CoefficientMeta(lipschitz_K=1.0, holder_half_K=0.0),
-    )
+    return CoefficientFn(lambda t, x: -np.asarray(x, dtype=float))
 
 
 def small_config(model, **kw):
@@ -118,7 +112,7 @@ def barrier_model():
         return np.where(x > 0.5, np.inf, 0.0)
 
     return SdeModel(
-        drift=CoefficientFn(drift, CoefficientMeta()),
+        drift=CoefficientFn(drift),
         base_sigma=_const(1.0),
         gamma=0.5,
         x0=0.0,
@@ -126,7 +120,7 @@ def barrier_model():
 
 
 def infinite_drift_model():
-    inf = CoefficientFn(lambda t, x: np.inf + 0.0 * np.asarray(x, dtype=float), CoefficientMeta())
+    inf = CoefficientFn(lambda t, x: np.inf + 0.0 * np.asarray(x, dtype=float))
     return SdeModel(drift=inf, base_sigma=_const(1.0), gamma=0.5, x0=0.0)
 
 
@@ -173,7 +167,7 @@ def nan_above_model(barrier=1.05):
     def sigma(t, x):
         return np.where(np.asarray(x, dtype=float) > barrier, np.nan, 1.0)
 
-    return SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=1.0)
+    return SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=1.0)
 
 
 def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):

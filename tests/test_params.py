@@ -44,10 +44,9 @@ def test_scalar_times_give_floats_equal_to_the_array_branch(param):
     assert param(grid[None, :]).shape == (1, 7)
 
 
-def test_constant_bounds_and_holder():
+def test_constant_bounds():
     p = ConstantParam(3.0)
     assert p.bounds(2.0) == (3.0, 3.0)
-    assert p.holder_half(2.0) == 0.0
 
 
 @pytest.mark.parametrize("q", [0.5, -0.5])
@@ -56,13 +55,6 @@ def test_affine_bounds(q):
     lo, hi = p.bounds(2.0)
     assert lo == min(1.0, 1.0 + 2.0 * q)
     assert hi == max(1.0, 1.0 + 2.0 * q)
-
-
-def test_affine_holder_seminorm():
-    """|p(t) - p(s)| = |q| |t - s| <= |q| sqrt(T) sqrt(|t - s|) on [0, T]."""
-    p = AffineParam(0.0, 1.5)
-    T = 4.0
-    assert p.holder_half(T) == pytest.approx(1.5 * 2.0)
 
 
 def test_sin_bounds_full_period():
@@ -78,34 +70,6 @@ def test_sin_bounds_partial_period():
     lo, hi = p.bounds(1.0)
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(2.0)
-
-
-def test_sin_holder_regimes():
-    T = 1.0
-    slow = SinusoidalParam(0.0, 1.0, 1.0)  # omega T <= 2: slope-limited
-    assert slow.holder_half(T) == pytest.approx(1.0 * math.sqrt(T))
-    fast = SinusoidalParam(0.0, 1.0, 100.0)  # oscillation-limited
-    assert fast.holder_half(T) == pytest.approx(math.sqrt(200.0))
-
-
-@pytest.mark.parametrize(
-    "param",
-    [
-        ConstantParam(1.0),
-        AffineParam(1.0, -0.5),
-        SinusoidalParam(1.0, 0.5, 2.0 * math.pi),
-        SinusoidalParam(0.5, -0.25, 17.3),
-    ],
-)
-def test_holder_bound_is_valid(param):
-    """The declared seminorm dominates sampled |f(t)-f(s)| / sqrt(|t-s|)."""
-    T = 1.0
-    rng = np.random.default_rng(5)
-    t = rng.uniform(0.0, T, 400)
-    s = rng.uniform(0.0, T, 400)
-    keep = np.abs(t - s) > 1e-12
-    gap = np.abs(param(t[keep]) - param(s[keep])) / np.sqrt(np.abs(t[keep] - s[keep]))
-    assert np.max(gap) <= param.holder_half(T) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 
 from powersde.brownian import PathStreams, sample_increment_batch
 from powersde.errors import InvalidCoefficientError
-from powersde.models import CoefficientFn, CoefficientMeta, SdeModel, eval_diffusion
+from powersde.models import CoefficientFn, SdeModel
 from powersde.schemes import MAX_LEVEL, EulerGrid
 from sweeps import euler_run
 
@@ -13,17 +13,11 @@ def _lattice(seed, first_path, n_paths, level, horizon):
 
 
 def _const(v):
-    return CoefficientFn(
-        lambda t, x: v + 0.0 * np.asarray(x, dtype=float),
-        CoefficientMeta(lipschitz_K=0.0, holder_half_K=0.0, nonnegative=v >= 0.0),
-    )
+    return CoefficientFn(lambda t, x: v + 0.0 * np.asarray(x, dtype=float))
 
 
 def _linear_drift(c):
-    return CoefficientFn(
-        lambda t, x: c * np.asarray(x, dtype=float),
-        CoefficientMeta(lipschitz_K=abs(c), holder_half_K=0.0),
-    )
+    return CoefficientFn(lambda t, x: c * np.asarray(x, dtype=float))
 
 
 def additive_model(x0=0.0):
@@ -92,7 +86,7 @@ def test_batch_rows_are_independent_of_neighbors(cir_model):
 
 
 def test_explosion_freezes_one_path_and_spares_others():
-    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3, CoefficientMeta())
+    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3)
     m = SdeModel(drift=cube, base_sigma=_const(1.0), gamma=0.5, x0=1.0)
     inc = np.zeros((16, 2))
     # path 0 starts the recursion from an enormous value via a fake increment
@@ -105,7 +99,7 @@ def test_explosion_freezes_one_path_and_spares_others():
 
 
 def test_explosion_index_surfaces_on_trajectory():
-    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 5, CoefficientMeta())
+    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 5)
     m = SdeModel(drift=cube, base_sigma=_const(0.0), gamma=0.5, x0=1e80)
     kept, first_bad = euler_run(m, _lattice(1, 0, 1, 4, 1.0), 1.0)
     assert first_bad[0] >= 0
@@ -119,14 +113,14 @@ def test_cir_paths_stay_finite(cir_model):
 
 
 def test_nonfinite_sigma_is_a_bad_coefficient_not_an_explosion():
-    """A NaN sigma at a finite state raises, as eval_diffusion does, instead
-    of freezing the path as exploded."""
+    """A NaN sigma at a finite state raises instead of freezing the path as
+    exploded."""
 
     def sigma(t, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, np.nan, 1.0)
 
-    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.0)
+    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=0.0)
     with pytest.raises(InvalidCoefficientError) as exc_info:
         euler_run(m, np.zeros((8, 2)), 1.0)
     assert exc_info.value.t == pytest.approx(1.0 / 8)
@@ -134,16 +128,14 @@ def test_nonfinite_sigma_is_a_bad_coefficient_not_an_explosion():
 
 
 def test_negative_infinite_sigma_is_a_bad_coefficient_not_a_zero():
-    """sigma = -inf on a live path raises at its first (t, x), as
-    eval_diffusion does, instead of being clamped to 0 and carried on."""
+    """sigma = -inf on a live path raises at its first (t, x) instead of
+    being clamped to 0 and carried on."""
 
     def sigma(t, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.5, -np.inf, 1.0)
 
-    m = SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.1)
-    with pytest.raises(InvalidCoefficientError):
-        eval_diffusion(m, 0.0, 0.1)
+    m = SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=0.1)
     with pytest.raises(InvalidCoefficientError) as exc_info:
         euler_run(m, _lattice(3, 0, 2, 3, 1.0), 1.0)
     assert exc_info.value.t == 0.0
@@ -157,7 +149,7 @@ def test_sweep_over_any_chunking_equals_one_full_sweep(cir_model, chunk):
     later chunk reports its global node."""
     inc = _lattice(41, 0, 6, 8, 1.0)
     # a kick at step 37 sends path 4 non-finite at node 39, mid-run
-    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3, CoefficientMeta())
+    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3)
     exploding = SdeModel(drift=cube, base_sigma=_const(1.0), gamma=0.5, x0=0.0)
     spiked = inc * 0.01
     spiked[37, 4] = 1e200
@@ -179,7 +171,7 @@ def test_bad_sigma_in_a_later_chunk_reports_its_global_time():
         return np.where(x < 0.0, np.nan, 1.0)
 
     # x_k = 0.3 - k/64 first goes negative at k = 20, in the third 8-step chunk
-    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma, CoefficientMeta()), gamma=0.5, x0=0.3)
+    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=0.3)
     errors = []
     for chunk in (None, 8):
         with pytest.raises(InvalidCoefficientError) as exc_info:
