@@ -15,7 +15,7 @@ from powersde.criteria import (
     time_changed_model,
 )
 from powersde.errors import HypothesisError
-from powersde.models import PrototypeParams
+from powersde.models import PrototypeParams, make_prototype
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
 from powersde.schemes import EulerGrid
 
@@ -299,3 +299,116 @@ class TestTimeChange:
         assert tc.horizon_image == pytest.approx(7.0 / 3.0, abs=1e-9)
         changed = time_changed_model(params, tc)
         assert changed.drift(tc.horizon_image, 0.0) == pytest.approx(1.0 / 4.0, rel=1e-6)
+
+
+class TestPrototypeFamilyPins:
+    """Coefficients and criterion reports of every prototype kind, bit for bit."""
+
+    POINTS = [(0.0, -0.5), (0.3, 0.25), (0.55, 0.8), (0.7, 1.5)]
+
+    @pytest.mark.parametrize(
+        "kind,gamma,pinned",
+        [
+            ("cir", None, [
+                ["0x1.0000000000000p+0", "0x1.2666666666666p-2", "-0x1.87ae147ae147bp-2", "-0x1.599999999999ap+0"],
+                ["0x0.0p+0", "0x1.16adf41add4e5p-1", "0x1.24ce1272a709bp-1", "0x1.a6822a08bfcc0p-2"],
+                ["0x1.0000000000000p+0", "0x1.065587d06fee0p-3", "-0x1.4417d7801da03p-3", "-0x1.4987d50f43ca7p-1"],
+                ["0x0.0p+0", "0x1.0000000000000p-2", "0x1.999999999999ap-1", "0x1.8000000000000p+0"],
+            ]),
+            ("wf", None, [
+                ["0x1.0000000000000p+0", "0x1.2666666666666p-2", "-0x1.87ae147ae147bp-2", "-0x1.599999999999ap+0"],
+                ["0x0.0p+0", "0x1.a204ee284bf58p-2", "0x1.d47cea510b429p-4", "0x0.0p+0"],
+                ["0x1.0000000000000p+0", "0x1.065587d06fee0p-3", "-0x1.4417d7801da03p-3", "-0x1.4987d50f43ca7p-1"],
+                ["0x0.0p+0", "0x1.8000000000000p-3", "0x1.47ae147ae147ap-3", "0x0.0p+0"],
+            ]),
+            ("ckls", 0.75, [
+                ["0x1.0000000000000p+0", "0x1.2666666666666p-2", "-0x1.87ae147ae147bp-2", "-0x1.599999999999ap+0"],
+                ["0x0.0p+0", "0x1.ae08d7af04e8cp-2", "0x1.4778775f3bf90p-1", "0x1.44d4b65493078p-1"],
+                ["0x1.0000000000000p+0", "0x1.065587d06fee0p-3", "-0x1.4417d7801da03p-3", "-0x1.4987d50f43ca7p-1"],
+                ["0x0.0p+0", "0x1.0000000000000p-2", "0x1.999999999999ap-1", "0x1.8000000000000p+0"],
+            ]),
+        ],
+    )
+    def test_simulated_coefficients_are_pinned(self, kind, gamma, pinned):
+        """Drift and base sigma of make_prototype, then of time_changed_model,
+        at (t, x) on both sides of the state space; array calls agree."""
+        theta = SinusoidalParam(1.0, 0.5, 2.0 * math.pi)
+        params = PrototypeParams(
+            kind=kind, kappa=AffineParam(1.0, 0.5), lam=0.5, theta=theta, x0=0.5, gamma=gamma
+        )
+        got = []
+        for model in (make_prototype(params), time_changed_model(params, build_timechange(theta, 1.0))):
+            for coef in (model.drift, model.base_sigma):
+                got.append([float(coef(t, x)).hex() for t, x in self.POINTS])
+                for t in {t for t, _ in self.POINTS}:
+                    xs = np.asarray([x for _, x in self.POINTS])
+                    scalar = [float(coef(t, x)).hex() for x in xs]
+                    assert [float(v).hex() for v in coef(t, xs)] == scalar
+        assert got == pinned
+
+    @pytest.mark.parametrize(
+        "kind,gamma,xs,pinned",
+        [
+            ("cir", None, (0.1, 0.5, 0.9, 3.0), [
+                ["0x1.ccccccccccccdp-3", "0x1.2000000000000p+0", "0x1.0333333333333p+1", "0x1.b000000000000p+2"],
+                ["0x1.2000000000000p+1"] * 4,
+                ["0x0.0p+0"] * 4,
+            ]),
+            ("wf", None, (0.1, 0.5, 0.9), [
+                ["0x1.9eb851eb851ecp-3", "0x1.2000000000000p-1", "0x1.9eb851eb851eap-3"],
+                ["0x1.ccccccccccccdp+0", "0x0.0p+0", "-0x1.ccccccccccccdp+0"],
+                ["-0x1.2000000000000p+2"] * 3,
+            ]),
+            ("ckls", 0.75, (0.1, 0.5, 0.9, 3.0), [
+                ["0x1.5fa7fdba09d26p-3", "0x1.b791fd288c46fp-1", "0x1.8b9cfd714b0cap+0", "0x1.49ad7dde69353p+2"],
+                ["0x1.b791fd288c46fp+0"] * 4,
+                ["0x0.0p+0"] * 4,
+            ]),
+        ],
+    )
+    def test_autonomous_sigma_and_derivatives_are_pinned(self, kind, gamma, xs, pinned):
+        params = PrototypeParams(kind=kind, kappa=2.0, lam=0.5, theta=1.5, x0=0.5, gamma=gamma)
+        m = autonomous_from_prototype(params)
+        x = np.asarray(xs)
+        got = [[float(v).hex() for v in f(x)] for f in (m.sigma, m.sigma_prime, m.sigma_prime2)]
+        assert got == pinned
+
+    @pytest.mark.parametrize(
+        "kind,gamma,kappa,lam,conclusion,probes,ito",
+        [
+            ("wf", None, 1.0, 0.25, "exit-possible", [
+                ("left", 0.0, "finite", "0x1.0b2d7f1d7c62dp+1", 8,
+                 "5d44dbd9c8eb93c8c55850fb608d1fa40b52054818436f13cf1fc3a69768f471"),
+                ("right", 1.0, "divergent", None, 52,
+                 "14dc06b27b83e197275fa0b7ec6ea03c8d907ab0cc300acd51800c93cc941e3b"),
+            ], ("-0x1.7ffff40000200p+20", "diverging-to-neg-infinity", "diverging", "diverging", None, None, 298)),
+            ("ckls", 0.75, 1.0, 1.0, "no-exit", [
+                ("left", 0.0, "divergent", None, 6,
+                 "924b3007a9628ac76e037b68aab90422830568342ebf0cc3a44f917ad435c3ac"),
+                ("right", math.inf, "divergent", None, 7,
+                 "d9dc17e25929db9db561c00c49b2d6257bd05ab2c5232c1e78781eba2cb39d1f"),
+            ], ("-0x1.23bce117a0dd1p+0", "inconclusive", "inconclusive", "inconclusive", None, None, 377)),
+        ],
+    )
+    def test_criterion_reports_are_pinned(self, kind, gamma, kappa, lam, conclusion, probes, ito):
+        """Every field of feller_test and ito_criterion; v_values as the
+        sha256 of its raw float64 bytes."""
+        params = PrototypeParams(kind=kind, kappa=kappa, lam=lam, theta=1.0, x0=0.5, gamma=gamma)
+        m = autonomous_from_prototype(params)
+        result = feller_test(m)
+        assert result.conclusion == conclusion
+        got = [
+            (
+                p.side,
+                p.boundary,
+                p.classification,
+                None if p.v_estimate is None else p.v_estimate.hex(),
+                p.n_segments,
+                hashlib.sha256(p.v_values.tobytes()).hexdigest(),
+            )
+            for p in (result.left, result.right)
+        ]
+        assert got == probes
+        r = ito_criterion(m)
+        fields = (r.inf_estimate.hex(), r.classification, r.left_trend, r.right_trend, r.s_exponent, r.lambda_sup, r.n_points)
+        assert fields == ito
