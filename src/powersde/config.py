@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
+from .models import KINDS, CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import BLOCK_PATHS
 from .params import AffineParam, ConstantParam, SinusoidalParam
 from .schemes import MAX_LEVEL
@@ -241,7 +241,7 @@ def _resolve_model(raw: dict, section: str):
     horizon = _get_float(sec, section, "horizon", 1.0)
     if horizon <= 0.0:
         raise ConfigError(f"[{section}] horizon: must be positive")
-    if kind in ("cir", "wf", "ckls"):
+    if kind in KINDS:
         kappa = parse_param_spec(sec.get("kappa", "1.0"), f"[{section}] kappa")
         lam = parse_param_spec(sec.get("lam", "1.0"), f"[{section}] lam")
         theta = parse_param_spec(sec.get("theta", "1.0"), f"[{section}] theta")
@@ -288,7 +288,7 @@ def _resolve_model(raw: dict, section: str):
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}")
         return kind, model, None, horizon
-    raise ConfigError(f"[{section}] kind: unknown kind {kind!r} (expected cir, wf, ckls or custom)")
+    raise ConfigError(f"[{section}] kind: unknown kind {kind!r} (expected {', '.join(KINDS)} or custom)")
 
 
 def resolve_config(raw: dict) -> RunConfig:

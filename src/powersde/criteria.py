@@ -20,10 +20,15 @@ scheme be expected to reach for this model" from a different angle:
   scale theta(t) by the clock change int theta^2, producing an autonomous-
   scale model whose endpoint law must match the original's.
 
+The prototypes' coefficients are not written out here: autonomous_from_prototype
+and time_changed_model take each kind's state space and state factor from
+models.KINDS and its diffusion scale from PrototypeParams.scale.
+
 Improper integrals and limits are classified by their trend over geometric
 refinements toward the endpoint, never by one magic evaluation; knife-edge
 cases come out inconclusive, which is the honest answer for a logarithmic
-divergence no finite grid can settle.
+divergence no finite grid can settle.  The refinement budgets and thresholds
+are the module constants below, the same for every model.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .models import PrototypeParams, SdeModel, CoefficientFn, _theta_positive
+from .models import KINDS, PrototypeParams, SdeModel, CoefficientFn, _theta_positive
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
 
@@ -62,6 +67,8 @@ MAX_SEGMENTS = 320
 RATIO_CUT = 0.999
 MIN_SEGMENTS = 8
 G_DIVERGED = -1e6
+MAX_REFINE = 60
+INTERIOR_POINTS = 257
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +175,13 @@ def theorem_rate(gamma: float, s_exponent: float) -> float:
 class AutonomousModel:
     """Time-homogeneous coefficients on an interval, with derivatives.
 
-    sigma_prime and sigma_prime2 are user-supplied first and second
-    derivatives of sigma (numerical differentiation is too fragile near the
-    interval ends, where these criteria do their work); they are cross-checked
-    against finite differences at interior points before use.  All callables
-    must be elementwise on arrays.
+    a is the drift and sigma the base coefficient.  sigma_prime and
+    sigma_prime2 are user-supplied first and second derivatives of sigma
+    (numerical differentiation is too fragile near the interval ends, where
+    these criteria do their work); they are cross-checked against finite
+    differences at interior points before use.  No criterion needs the
+    derivative of a.  All callables must be elementwise on arrays.  x0, the
+    origin of every criterion's approach to the ends, lies inside domain.
     """
 
     a: Callable
@@ -182,8 +191,6 @@ class AutonomousModel:
     gamma: float
     domain: tuple[float, float]
     x0: float
-    a_prime: Optional[Callable] = None
-    name: str = ""
 
     def __post_init__(self):
         if not 0.5 <= self.gamma < 1.0:
@@ -211,51 +218,29 @@ def autonomous_from_prototype(params: PrototypeParams) -> AutonomousModel:
         if lo != hi:
             raise ValueError(f"{label} must be constant in time for autonomous criteria")
         vals[label] = lo
-    kap, lam, th = vals["kappa"], vals["lam"], vals["theta"]
+    kap, lam = vals["kappa"], vals["lam"]
+    scale = params.scale(vals["theta"])
 
     def a(x):
         return kap * (lam - x)
 
-    def a_prime(x):
-        return -kap + 0.0 * np.asarray(x, dtype=float)
-
-    if params.kind == "cir":
-        th2 = th * th
-        return AutonomousModel(
-            a=a,
-            sigma=lambda x: th2 * np.asarray(x, dtype=float),
-            sigma_prime=lambda x: th2 + 0.0 * np.asarray(x, dtype=float),
-            sigma_prime2=lambda x: 0.0 * np.asarray(x, dtype=float),
-            gamma=0.5,
-            domain=(0.0, math.inf),
-            x0=params.x0,
-            a_prime=a_prime,
-            name="cir",
-        )
     if params.kind == "wf":
-        th2 = th * th
-        return AutonomousModel(
-            a=a,
-            sigma=lambda x: th2 * np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
-            sigma_prime=lambda x: th2 * (1.0 - 2.0 * np.asarray(x, dtype=float)),
-            sigma_prime2=lambda x: -2.0 * th2 + 0.0 * np.asarray(x, dtype=float),
-            gamma=0.5,
-            domain=(0.0, 1.0),
-            x0=params.x0,
-            a_prime=a_prime,
-            name="wf",
-        )
-    scale = th ** (1.0 / params.gamma)
+        # scale x (1 - x), in this order: the rounding of g's infimum depends on it
+        sigma = lambda x: scale * np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))
+        sigma_prime = lambda x: scale * (1.0 - 2.0 * np.asarray(x, dtype=float))
+        sigma_prime2 = lambda x: -2.0 * scale + 0.0 * np.asarray(x, dtype=float)
+    else:
+        sigma = lambda x: scale * np.asarray(x, dtype=float)
+        sigma_prime = lambda x: scale + 0.0 * np.asarray(x, dtype=float)
+        sigma_prime2 = lambda x: 0.0 * np.asarray(x, dtype=float)
     return AutonomousModel(
         a=a,
-        sigma=lambda x: scale * np.asarray(x, dtype=float),
-        sigma_prime=lambda x: scale + 0.0 * np.asarray(x, dtype=float),
-        sigma_prime2=lambda x: 0.0 * np.asarray(x, dtype=float),
+        sigma=sigma,
+        sigma_prime=sigma_prime,
+        sigma_prime2=sigma_prime2,
         gamma=params.gamma,
-        domain=(0.0, math.inf),
+        domain=KINDS[params.kind][0],
         x0=params.x0,
-        a_prime=a_prime,
-        name="ckls",
     )
 
 
@@ -290,12 +275,6 @@ def _check_derivatives(model: AutonomousModel, points: np.ndarray) -> None:
             raise ValueError(
                 f"sigma_prime2({x}) = {d2} disagrees with finite difference {fd2}"
             )
-        if model.a_prime is not None:
-            fda = (model.a(x + h1) - model.a(x - h1)) / (2.0 * h1)
-            da = model.a_prime(x)
-            tola = 1e-4 * max(abs(da), abs(fda), 1.0)
-            if abs(fda - da) > tola:
-                raise ValueError(f"a_prime({x}) = {da} disagrees with finite difference {fda}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +310,19 @@ def _g_function(model: AutonomousModel, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _trend(values: list[float], window: int = TREND_WINDOW) -> str:
-    if len(values) < window:
+def _trend(values: list[float]) -> str:
+    if len(values) < TREND_WINDOW:
         return "inconclusive"
-    last = values[-window:]
+    last = values[-TREND_WINDOW:]
     diffs = np.diff(last)
     if np.all(diffs < 0.0) and last[-1] <= G_DIVERGED:
         return "diverging"
     if np.all(np.abs(diffs) <= 1e-9 * np.maximum(1.0, np.abs(last[1:]))):
-        return "stable"
+        return "bounded"
     return "inconclusive"
 
 
-def ito_criterion(
-    model: AutonomousModel,
-    max_refine: int = 60,
-    interior_points: int = 257,
-) -> CriterionReport:
+def ito_criterion(model: AutonomousModel) -> CriterionReport:
     """Classify the criterion function g along the state axis.
 
         g = sigma' a / sigma + sigma'' sigma^{2 gamma - 1} / 2
@@ -356,37 +331,35 @@ def ito_criterion(
     g bounded below means the scheme needs no compensation (s = 0, every
     order below 1/2 is attainable); g falling to -infinity toward an endpoint
     means this criterion, by itself, certifies nothing.  The verdict comes
-    from the trend of g on geometric point sequences approaching both ends.
+    from the trend of g over the last TREND_WINDOW points of a geometric
+    sequence approaching each end from x0, at most MAX_REFINE points long:
+    it falls past G_DIVERGED, or it is stable (bounded).  g is also taken at
+    INTERIOR_POINTS points between the first points of both sequences.
     """
-    lo, hi = model.domain
     origin = model.x0
-    left_vals, right_vals = [], []
-    left_trend = right_trend = "inconclusive"
-    for m in range(1, max_refine + 1):
-        if left_trend == "inconclusive":
-            xl = _endpoint_sequence(origin, lo, m)
-            left_vals.append(float(_g_function(model, np.asarray([xl]))[0]))
-            left_trend = _trend(left_vals)
-        if right_trend == "inconclusive":
-            xr = _endpoint_sequence(origin, hi, m)
-            right_vals.append(float(_g_function(model, np.asarray([xr]))[0]))
-            right_trend = _trend(right_vals)
-        if left_trend != "inconclusive" and right_trend != "inconclusive":
+    vals = ([], [])
+    trends = ["inconclusive", "inconclusive"]
+    for m in range(1, MAX_REFINE + 1):
+        for side, end in enumerate(model.domain):
+            if trends[side] == "inconclusive":
+                x = _endpoint_sequence(origin, end, m)
+                vals[side].append(float(_g_function(model, np.asarray([x]))[0]))
+                trends[side] = _trend(vals[side])
+        if "inconclusive" not in trends:
             break
 
-    span_lo = _endpoint_sequence(origin, lo, 1)
-    span_hi = _endpoint_sequence(origin, hi, 1)
-    interior = np.linspace(span_lo, span_hi, interior_points)
+    span_lo, span_hi = (_endpoint_sequence(origin, end, 1) for end in model.domain)
+    interior = np.linspace(span_lo, span_hi, INTERIOR_POINTS)
     _check_derivatives(model, np.linspace(span_lo, span_hi, 9)[1:-1])
     g_interior = _g_function(model, interior)
 
-    all_vals = np.concatenate([g_interior, np.asarray(left_vals), np.asarray(right_vals)])
+    all_vals = np.concatenate([g_interior, np.asarray(vals[0]), np.asarray(vals[1])])
     inf_estimate = float(np.min(all_vals))
     n_points = len(all_vals)
 
-    if "diverging" in (left_trend, right_trend):
+    if "diverging" in trends:
         classification = "diverging-to-neg-infinity"
-    elif left_trend == "stable" and right_trend == "stable":
+    elif trends == ["bounded", "bounded"]:
         classification = "bounded-below"
     else:
         classification = "inconclusive"
@@ -395,8 +368,8 @@ def ito_criterion(
     return CriterionReport(
         inf_estimate=inf_estimate,
         classification=classification,
-        left_trend={"diverging": "diverging", "stable": "bounded"}.get(left_trend, "inconclusive"),
-        right_trend={"diverging": "diverging", "stable": "bounded"}.get(right_trend, "inconclusive"),
+        left_trend=trends[0],
+        right_trend=trends[1],
         s_exponent=0.0 if bounded else None,
         lambda_sup=0.5 if bounded else None,
         n_points=n_points,
@@ -479,16 +452,13 @@ def _segment_integral(a_fn, c2_fn, y0, y1, lp0, m0):
     return prev[0], prev[1], prev[2], False
 
 
-def _probe_endpoint(
-    a_fn,
-    c2_fn,
-    origin: float,
-    endpoint: float,
-    side: str,
-    threshold: float,
-    max_segments: int,
-    window: int,
-) -> EndpointProbe:
+def _grows(v: float, incs: list[float]) -> bool:
+    """Sustained growth of v past V_THRESHOLD: its last TREND_WINDOW
+    increments are all positive."""
+    return v > V_THRESHOLD and len(incs) >= TREND_WINDOW and all(i > 0.0 for i in incs[-TREND_WINDOW:])
+
+
+def _probe_endpoint(a_fn, c2_fn, origin: float, endpoint: float, side: str) -> EndpointProbe:
     v = 0.0
     incs: list[float] = []
     v_hist: list[float] = []
@@ -496,7 +466,7 @@ def _probe_endpoint(
     start = origin
     classification = "inconclusive"
     v_estimate = None
-    for seg in range(1, max_segments + 1):
+    for seg in range(1, MAX_SEGMENTS + 1):
         target = _endpoint_sequence(origin, endpoint, seg)
         try:
             v_seg, lp, m, converged = _segment_integral(a_fn, c2_fn, start, target, lp, m)
@@ -504,35 +474,23 @@ def _probe_endpoint(
             break
         if not math.isfinite(v_seg) or not converged:
             # the integral escaped floating point or the panel budget; if the
-            # accumulated value already shows sustained growth past the
-            # threshold the divergence verdict stands, otherwise be honest
-            if (
-                v > threshold
-                and len(incs) >= window
-                and all(i > 0.0 for i in incs[-window:])
-            ) or (
-                not math.isfinite(v_seg)
-                and v_seg > 0.0
-                and len(incs) >= window
-                and all(i > 0.0 for i in incs[-window:])
-            ):
+            # accumulated value, or a segment that overflowed to +inf,
+            # shows sustained growth past the threshold the divergence
+            # verdict stands, otherwise be honest
+            if _grows(v_seg if v_seg == math.inf else v, incs):
                 classification = "divergent"
             break
         v += v_seg
         incs.append(v_seg)
         v_hist.append(v)
         start = target
-        if (
-            v > threshold
-            and len(incs) >= window
-            and all(i > 0.0 for i in incs[-window:])
-        ):
+        if _grows(v, incs):
             classification = "divergent"
             break
-        if seg >= max(MIN_SEGMENTS, window + 1):
-            last = incs[-window:]
+        if seg >= max(MIN_SEGMENTS, TREND_WINDOW + 1):
+            last = incs[-TREND_WINDOW:]
             if all(i >= 0.0 for i in last) and all(i > 0.0 for i in last[:-1]):
-                ratios = [last[j + 1] / last[j] for j in range(window - 1)]
+                ratios = [last[j + 1] / last[j] for j in range(TREND_WINDOW - 1)]
                 if max(ratios) <= RATIO_CUT:
                     rho = max(ratios)
                     tail = last[-1] * rho / (1.0 - rho)
@@ -549,27 +507,22 @@ def _probe_endpoint(
     )
 
 
-def feller_test(
-    model: AutonomousModel,
-    origin: Optional[float] = None,
-    threshold: float = V_THRESHOLD,
-    max_segments: int = MAX_SEGMENTS,
-) -> FellerResult:
+def feller_test(model: AutonomousModel) -> FellerResult:
     """Can the solution reach the ends of its interval in finite time?
 
     Builds v(x), the expected-time-like nested integral of the scale density
-    p'(y) = exp(-2 int a/c^2) against 2/(p' c^2), outward from an interior
-    origin.  An endpoint where v diverges is unreachable; if v diverges at
-    both ends the process stays in the open interval with probability one.
+    p'(y) = exp(-2 int a/c^2) against 2/(p' c^2), outward from the origin
+    x0.  An endpoint where v diverges is unreachable; if v diverges at both
+    ends the process stays in the open interval with probability one.
     Divergence is decided by the trend of v over geometric endpoint
-    approaches: sustained growth past the threshold is divergent, a
-    geometrically decaying tail is finite, anything else (including
-    logarithmically slow growth) is inconclusive.
+    approaches, at most MAX_SEGMENTS segments each: TREND_WINDOW positive
+    increments in a row with v past V_THRESHOLD is divergent, increments
+    whose ratios stay below RATIO_CUT (a geometrically decaying tail) are
+    finite, anything else (including logarithmically slow growth) is
+    inconclusive.
     """
     lo, hi = model.domain
-    o = model.x0 if origin is None else origin
-    if not lo < o < hi:
-        raise ValueError(f"origin {o} outside the open interval ({lo}, {hi})")
+    o = model.x0
 
     a_fn = model.a
     c2_fn = model.c_squared
@@ -592,8 +545,8 @@ def feller_test(
     if not math.isfinite(spot):
         raise HypothesisError(f"(1+|a|)/c^2 not integrable near the origin {o}")
 
-    left = _probe_endpoint(a_fn, c2_fn, o, lo, "left", threshold, max_segments, TREND_WINDOW)
-    right = _probe_endpoint(a_fn, c2_fn, o, hi, "right", threshold, max_segments, TREND_WINDOW)
+    left = _probe_endpoint(a_fn, c2_fn, o, lo, "left")
+    right = _probe_endpoint(a_fn, c2_fn, o, hi, "right")
 
     if left.classification == "divergent" and right.classification == "divergent":
         conclusion = "no-exit"
@@ -633,7 +586,7 @@ def build_timechange(theta, horizon: float) -> TimeChange:
         v = theta(s)
         return v * v
 
-    table = build_cumulative(theta_sq, 0.0, horizon, rel_tol=1e-12)
+    table = build_cumulative(theta_sq, 0.0, horizon)
     return TimeChange(
         theta=theta,
         table=table,
@@ -661,28 +614,15 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
     def drift_fn(k, l, th2, x):
         return k * (l - x) / th2
 
-    drift = CoefficientFn(drift_fn, time=drift_time)
+    domain, shape = KINDS[params.kind]
 
-    if params.kind == "wf":
+    def sigma_fn(s, x):
+        return shape(x)
 
-        def sigma_fn(s, x):
-            x = np.asarray(x, dtype=float)
-            out = np.maximum(x * (1.0 - x), 0.0)
-            return out if out.ndim else float(out)
-
-        domain = (0.0, 1.0)
-    else:
-
-        def sigma_fn(s, x):
-            return np.maximum(x, 0.0)
-
-        domain = (0.0, math.inf)
-
-    gamma = 0.5 if params.kind in ("cir", "wf") else float(params.gamma)
     return SdeModel(
-        drift=drift,
+        drift=CoefficientFn(drift_fn, time=drift_time),
         base_sigma=CoefficientFn(sigma_fn),
-        gamma=gamma,
+        gamma=params.gamma,
         x0=params.x0,
         domain=domain,
         name=f"{params.kind}-timechanged",

@@ -9,9 +9,9 @@ base coefficient sigma is nonnegative.  The effective diffusion is always
 c(t, x) = max(sigma(t, x), 0)^gamma with the convention 0^gamma = 0; models
 never evaluate a bare fractional power of a possibly-negative number.
 
-Three prototype constructors cover the mean-reverting square-root process on
-(0, inf), the bounded [0, 1] allele-frequency process, and the constant
-elasticity family with exponent gamma in (1/2, 1).
+One family of prototypes, declared once in KINDS, covers the mean-reverting
+square-root process on (0, inf), the bounded [0, 1] allele-frequency process,
+and the constant elasticity family with exponent gamma in (1/2, 1).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .params import as_param
 
 __all__ = [
+    "KINDS",
     "CoefficientFn",
     "SdeModel",
     "PrototypeParams",
@@ -115,14 +116,36 @@ def clamped_power(sig, gamma: float):
     return np.maximum(sig, sig - sig) ** gamma
 
 
+def _positive_part(x):
+    return np.maximum(x, 0.0)
+
+
+def _unit_interval_part(x):
+    return np.maximum(x * (1.0 - x), 0.0)
+
+
+# The prototype family, one entry per kind: the state space and the clamped
+# state factor shape(x) of the base coefficient sigma = scale(theta) shape(x).
+KINDS = {
+    "cir": ((0.0, math.inf), _positive_part),
+    "wf": ((0.0, 1.0), _unit_interval_part),
+    "ckls": ((0.0, math.inf), _positive_part),
+}
+
+
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+
+
 @dataclass(frozen=True)
 class PrototypeParams:
     """Parameters for the three named prototype models.
 
-    kind is one of "cir", "wf", "ckls".  kappa, lam, theta accept numbers or
-    members of the params family; gamma applies to "ckls" only and must lie
-    in (1/2, 1).  horizon, finite and positive, is the interval on which
-    theta must stay positive.
+    kind is one of the keys of KINDS.  kappa, lam, theta accept numbers or
+    members of the params family.  gamma is the diffusion exponent: given
+    for "ckls" only, in (1/2, 1), and 1/2 for the other kinds.  horizon,
+    finite and positive, is the interval on which theta must stay positive.
     """
 
     kind: str
@@ -134,18 +157,23 @@ class PrototypeParams:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("cir", "wf", "ckls"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown prototype kind {self.kind!r}")
         object.__setattr__(self, "kappa", as_param(self.kappa))
         object.__setattr__(self, "lam", as_param(self.lam))
         object.__setattr__(self, "theta", as_param(self.theta))
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
+        _check_horizon(self.horizon)
         if self.kind == "ckls":
             if self.gamma is None or not 0.5 < self.gamma < 1.0:
                 raise ValueError("ckls requires gamma in (1/2, 1)")
         elif self.gamma is not None and self.gamma != 0.5:
             raise ValueError(f"{self.kind} has gamma fixed at 1/2")
+        object.__setattr__(self, "gamma", 0.5 if self.gamma is None else float(self.gamma))
+
+    def scale(self, th):
+        """The diffusion scale at a value th of theta: th^(1/gamma), so that
+        (scale shape)^gamma = th shape^gamma."""
+        return th * th if self.gamma == 0.5 else th ** (1.0 / self.gamma)
 
 
 def _theta_positive(theta, horizon: float) -> None:
@@ -160,6 +188,7 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     """Build the SdeModel for one of the named prototypes.
 
     Drift is kappa(t) (lam(t) - x) in every case.  The base coefficient is
+    sigma(t, x) = params.scale(theta(t)) shape(x), with the kind's shape:
 
         cir   sigma(t,x) = theta(t)^2 max(x, 0)            gamma = 1/2
         wf    sigma(t,x) = theta(t)^2 max(x (1 - x), 0)    gamma = 1/2
@@ -170,18 +199,9 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     elasticity family keeps a single c = sigma^gamma code path; theta is
     bounded away from zero so the reparametrization stays 1/2-Hoelder.
     """
-    kind = params.kind
+    domain, shape = KINDS[params.kind]
     kappa, lam, theta = params.kappa, params.lam, params.theta
     _theta_positive(theta, params.horizon)
-
-    if kind in ("cir", "ckls"):
-        domain = (0.0, math.inf)
-        if not params.x0 > 0.0:
-            raise ValueError("x0 must be positive")
-    else:
-        domain = (0.0, 1.0)
-        if not 0.0 < params.x0 < 1.0:
-            raise ValueError("x0 must lie in (0, 1)")
 
     def drift_time(t):
         return kappa(t), lam(t)
@@ -189,46 +209,17 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     def drift_fn(k, l, x):
         return k * (l - x)
 
-    drift = CoefficientFn(drift_fn, time=drift_time)
+    def sigma_time(t):
+        return (params.scale(theta(t)),)
 
-    def theta_squared(t):
-        th = theta(t)
-        return (th * th,)
+    def sigma_fn(scale, x):
+        return scale * shape(x)
 
-    if kind == "cir":
-        gamma = 0.5
-        sigma_time = theta_squared
-
-        def sigma_fn(th2, x):
-            return th2 * np.maximum(x, 0.0)
-
-    elif kind == "wf":
-        gamma = 0.5
-        sigma_time = theta_squared
-
-        def sigma_fn(th2, x):
-            x = np.asarray(x, dtype=float)
-            out = th2 * np.maximum(x * (1.0 - x), 0.0)
-            return out if out.ndim else float(out)
-
-    else:
-        gamma = float(params.gamma)
-        inv_gamma = 1.0 / gamma
-
-        def theta_power(t):
-            return (theta(t) ** inv_gamma,)
-
-        sigma_time = theta_power
-
-        def sigma_fn(scale, x):
-            return scale * np.maximum(x, 0.0)
-
-    base_sigma = CoefficientFn(sigma_fn, time=sigma_time)
     return SdeModel(
-        drift=drift,
-        base_sigma=base_sigma,
-        gamma=gamma,
+        drift=CoefficientFn(drift_fn, time=drift_time),
+        base_sigma=CoefficientFn(sigma_fn, time=sigma_time),
+        gamma=params.gamma,
         x0=float(params.x0),
         domain=domain,
-        name=kind,
+        name=params.kind,
     )

@@ -27,9 +27,11 @@ the task width either.
 Explosion policy
 ----------------
 A path that goes non-finite at any of the grids an estimator runs is left
-out of every partial sum.  The engine counts such paths for all four estimators:
-on_explosion="abort" raises SimulationAbort if there is any, "drop" reports
-how many were dropped, and a run with no surviving path always aborts.
+out of every partial sum.  The engine applies this one rule for all four
+estimators: it reads each task's sweeps, hands reduce_block only the
+surviving paths and counts the rest.  on_explosion="abort" raises
+SimulationAbort if there is any, "drop" reports how many were dropped, and
+a run with no surviving path always aborts.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .brownian import PathStreams, coarsen_increments, reserve_generators, sample_increment_batch
+from .brownian import PathStreams, coarsen_increments, derive_seed, reserve_generators, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
-from .models import PrototypeParams, SdeModel, make_prototype
+from .models import PrototypeParams, SdeModel, _check_horizon, make_prototype
 from .schemes import MAX_LEVEL, EulerGrid, EulerSweep, euler_batch
 
 __all__ = [
@@ -122,15 +124,16 @@ def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_
     block order.
 
     simulate(first_path, n_paths, width) sweeps one run of paths together
-    and returns its per-path results; width is the widest run's path count,
-    the same for every task of the call.  reduce_block(results, block)
-    reduces the paths of one block (a slice of the run) to (partial, n_bad),
-    exactly as a run of that block alone would: partial is a tuple of sums
-    over the block's surviving paths, reduced inside the worker, and n_bad
-    counts the block's paths that went non-finite.  Partials are folded left
-    to right in block-index order with merge (slotwise addition by default).
-    Returns (total, dropped).  Of the bad coefficients the tasks meet, the
-    one first in order (path being the global index) is raised.
+    and returns (results, sweeps): its per-path results and the sweeps that
+    made them; width is the widest run's path count, the same for every
+    task of the call.  A path is dropped if it went non-finite in any of the
+    sweeps.  reduce_block(results, rows) reduces the surviving paths of one
+    block, rows being their indices into the run in path order, to a tuple
+    of sums, inside the worker and exactly as a run of that block alone
+    would.  Partials are folded left to right in block-index order with
+    merge (slotwise addition by default).  Returns (total, dropped).  Of the
+    bad coefficients the tasks meet, the one first in order (path being the
+    global index) is raised.
     """
     if on_explosion not in ("abort", "drop"):
         raise ValueError("on_explosion must be 'abort' or 'drop'")
@@ -145,12 +148,17 @@ def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_
         p0 = cuts[i]
         n = cuts[i + 1] - p0
         try:
-            results = simulate(p0, n, width)
+            results, sweeps = simulate(p0, n, width)
         except InvalidCoefficientError as exc:
             chunk, rank, step, path = exc.order
             exc.order = (chunk, rank, step, p0 + path)
             return exc
-        return [reduce_block(results, slice(q, min(q + BLOCK_PATHS, n))) for q in range(0, n, BLOCK_PATHS)]
+        bad = np.any([sweep.first_bad >= 0 for sweep in sweeps], axis=0)
+        blocks = []
+        for q in range(0, n, BLOCK_PATHS):
+            block = bad[q : q + BLOCK_PATHS]
+            blocks.append((reduce_block(results, q + np.flatnonzero(~block)), int(block.sum())))
+        return blocks
 
     reserve_generators(width)  # forked workers inherit them and only re-key
     runs = _run_batches(task, len(cuts) - 1, workers)
@@ -229,8 +237,7 @@ class ExperimentConfig:
             raise ValueError(f"ref_level {self.ref_level} exceeds the memory guard {MAX_LEVEL}")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(self.horizon)
         if self.on_explosion not in ("abort", "drop"):
             raise ValueError("on_explosion must be 'abort' or 'drop'")
 
@@ -329,19 +336,14 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
                 nodes = euler_batch(sweeps[i], inc)
                 step = 1 << (lmax - levels[i])
                 diffs[i][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
-        bad = ref_sweep.first_bad >= 0
-        for sweep in sweeps:
-            bad |= sweep.first_bad >= 0
-        return diffs, bad
+        return diffs, [ref_sweep, *sweeps]
 
-    def reduce_block(results, block):
-        diffs, bad = results
-        good = ~bad[block]
+    def reduce_block(diffs, rows):
         sums = []
         for diff in diffs:
-            diff = diff[block][good]
+            diff = diff[rows]
             sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
-        return tuple(sums), int(bad[block].sum())
+        return tuple(sums)
 
     sums, dropped = _map_paths(simulate, reduce_block, config.paths, workers, config.on_explosion)
     m_eff = config.paths - dropped
@@ -487,6 +489,7 @@ def estimate_inverse_moment(
     SLAB_STEPS steps at a time, and per path and level the chunk sums,
     merged as they arrive: at most 1 + log2(chunks) of them.
     """
+    _check_horizon(horizon)
     if q > 0.0:
         raise ValueError("q must be nonpositive")
     if ref_level < 2:
@@ -540,21 +543,16 @@ def estimate_inverse_moment(
                 # through the next level's sweep
                 last[i] = nodes[-1:].copy()
                 del nodes
-        bad = np.zeros(b, dtype=bool)
-        for sweep in sweeps:
-            bad |= sweep.first_bad >= 0
         # the chunk count is a power of two, so one partial is left per level
         per_path = [total * grid.dt for [(_, total)], grid in zip(partials, grids)]
-        return per_path, cap_hits, bad
+        return (per_path, cap_hits), sweeps
 
-    def reduce_block(results, block):
-        per_path, cap_hits, bad = results
-        good = ~bad[block]
+    def reduce_block(results, rows):
         sums = []
-        for integral, hits in zip(per_path, cap_hits):
-            kept = integral[block][good]
-            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[block][good].sum())]
-        return tuple(sums), int(bad[block].sum())
+        for integral, hits in zip(*results):
+            kept = integral[rows]
+            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[rows].sum())]
+        return tuple(sums)
 
     sums, dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
     m_eff = paths - dropped
@@ -637,6 +635,7 @@ def comparison_check(
     statistical: the fraction of paths whose minimum gap dips below
     -tolerance should be small and should shrink as the level grows.
     """
+    _check_horizon(horizon)
     if model_lo.x0 > model_hi.x0:
         raise HypothesisError("model_lo must start at or below model_hi")
     if model_lo.gamma != model_hi.gamma:
@@ -667,14 +666,13 @@ def comparison_check(
             lo_nodes = euler_batch(lo, inc)
             gaps = euler_batch(hi, inc) - lo_nodes
             np.minimum(worst, gaps.min(axis=0), out=worst)
-        return worst, (lo.first_bad < 0) & (hi.first_bad < 0)
+        return worst, [lo, hi]
 
-    def reduce_block(results, block):
-        worst, good = results
-        kept = worst[block][good[block]]
+    def reduce_block(worst, rows):
+        kept = worst[rows]
         violating = int((kept < -tolerance).sum())
         max_violation = max(0.0, -float(kept.min(initial=np.inf)))
-        return (violating, max_violation), len(worst[block]) - len(kept)
+        return violating, max_violation
 
     def merge(a, b):
         return a[0] + b[0], max(a[1], b[1])
@@ -727,13 +725,11 @@ def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion)
         sweep = EulerSweep(grid, b, keep_stride=1 << level)
         for inc in _chunks(streams, chunk, width):
             kept = euler_batch(sweep, inc)
-        return kept[-1], sweep.first_bad < 0
+        return kept[-1], [sweep]
 
-    def reduce_block(results, block):
-        end, ok = results
-        good = end[block][ok[block]]
-        powers = (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
-        return powers, len(end[block]) - len(good)
+    def reduce_block(end, rows):
+        good = end[rows]
+        return (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
 
     (s1, s2, s3, s4), dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
     m = paths - dropped
@@ -761,8 +757,6 @@ def timechange_check(
     two samples are independent and plain two-sample z-tests apply.  dropped
     counts the paths of both samples that went non-finite.
     """
-    from .brownian import derive_seed
-
     model = make_prototype(params)
     tc = build_timechange(params.theta, params.horizon)
     changed = time_changed_model(params, tc)

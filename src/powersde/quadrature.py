@@ -126,18 +126,22 @@ class CumulativeTable:
         return min(max(x, xs[0]), xs[-1])
 
 
-def build_cumulative(f, a, b, rel_tol=1e-12, segments=1024) -> CumulativeTable:
-    """Tabulate F(x) = int_a^x f on uniform segments of [a, b].
+REL_TOL = 1e-12
+SEGMENTS = 1024
+
+
+def build_cumulative(f, a, b) -> CumulativeTable:
+    """Tabulate F(x) = int_a^x f on SEGMENTS uniform segments of [a, b].
 
     Each segment is integrated adaptively to an absolute tolerance that keeps
-    the accumulated error below rel_tol times a rough estimate of the total.
+    the accumulated error below REL_TOL times a rough estimate of the total.
     f must be positive (the cumulative must be strictly increasing).
     """
-    xs = np.linspace(a, b, segments + 1)
+    xs = np.linspace(a, b, SEGMENTS + 1)
     rough = abs(adaptive_simpson(f, a, b, 1e-6 * max(abs(b - a), 1.0)))
-    seg_tol = rel_tol * max(rough, 1e-300) / segments
-    ys = np.empty(segments + 1)
+    seg_tol = REL_TOL * max(rough, 1e-300) / SEGMENTS
+    ys = np.empty(SEGMENTS + 1)
     ys[0] = 0.0
-    for i in range(segments):
+    for i in range(SEGMENTS):
         ys[i + 1] = ys[i] + adaptive_simpson(f, float(xs[i]), float(xs[i + 1]), seg_tol)
     return CumulativeTable(xs=xs, ys=ys, integrand=f, seg_tol=seg_tol)

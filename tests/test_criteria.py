@@ -115,6 +115,21 @@ class TestAutonomous:
         assert m.gamma == 0.5
         assert m.domain == (0.0, math.inf)
 
+    @pytest.mark.parametrize("x0", [0.0, -1.0, math.inf])
+    def test_x0_must_be_interior(self, x0):
+        """x0 is where feller_test and ito_criterion start their approach
+        to the ends."""
+        with pytest.raises(ValueError, match="outside domain"):
+            AutonomousModel(
+                a=lambda x: 0.0 * np.asarray(x),
+                sigma=lambda x: 1.0 + 0.0 * np.asarray(x),
+                sigma_prime=lambda x: 0.0 * np.asarray(x),
+                sigma_prime2=lambda x: 0.0 * np.asarray(x),
+                gamma=0.5,
+                domain=(0.0, math.inf),
+                x0=x0,
+            )
+
     def test_rejects_time_varying_parameters(self):
         with pytest.raises(ValueError, match="constant"):
             autonomous_from_prototype(cir(kappa=AffineParam(1.0, 0.5)))
@@ -221,10 +236,6 @@ class TestFeller:
         with pytest.raises(HypothesisError):
             with np.errstate(divide="ignore"):
                 feller_test(m)
-
-    def test_origin_must_be_interior(self):
-        with pytest.raises(ValueError):
-            feller_test(brownian_motion(), origin=math.inf)
 
 
 class TestTimeChange:

@@ -347,6 +347,24 @@ def test_reports_are_identical_for_any_task_width(monkeypatch, cir_model, cir_pa
         _assert_same_report(base, _run_estimator(name, cir_model, cir_params, 1))
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_a_bad_horizon_is_rejected_before_any_work(monkeypatch, cir_model, cir_params, name, horizon):
+    def simulate_nothing(*args, **kwargs):
+        raise AssertionError("paths were simulated on a bad horizon")
+
+    monkeypatch.setattr(montecarlo, "_map_paths", simulate_nothing)
+    with pytest.raises(ValueError, match="horizon"):
+        if name == "strong_error":
+            estimate_strong_error(small_config(cir_model, horizon=horizon, paths=16), workers=1)
+        elif name == "inverse_moment":
+            estimate_inverse_moment(cir_model, -1.0, horizon, 4, 16, 5, workers=1)
+        elif name == "comparison":
+            comparison_check(cir_model, cir_model, horizon, 4, 16, 3, workers=1)
+        else:
+            timechange_check(dataclasses.replace(cir_params, horizon=horizon), 4, 16, 9, workers=1)
+
+
 def test_estimator_outputs_are_pinned(cir_model):
     """Exact outputs of a small strong-error and inverse-moment run.  A change
     to sampling, coarsening, the kernel or the merge order that moves any
