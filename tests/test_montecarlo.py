@@ -173,20 +173,40 @@ def nan_above_model(barrier=1.05):
 def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
     """Both tasks of a 2-worker run meet a NaN sigma at the same step; the
     error raised is the one a single task over all paths meets first, not
-    whichever task finishes first."""
+    whichever task finishes first.  The inverse-moment and comparison
+    reports are pinned: in the comparison the lo sweep's error is the one
+    reported, so a change of sweep order shows."""
     cfg = ExperimentConfig(
         model=nan_above_model(), horizon=1.0, levels=(2, 3, 4), ref_level=8, paths=2048, master_seed=7
     )
 
-    def reported(workers):
+    def reported(run, workers):
         with pytest.raises(InvalidCoefficientError) as exc_info:
-            estimate_strong_error(cfg, workers=workers)
-        return exc_info.value.t, exc_info.value.x
+            run(workers)
+        return exc_info.value.t, exc_info.value.x, exc_info.value.order
 
-    serial = reported(1)
-    assert [reported(2) for _ in range(8)] == [serial] * 8
+    def inverse_moment(workers):
+        estimate_inverse_moment(nan_above_model(), -1.0, 1.0, 8, 2048, 7, workers=workers)
+
+    # NaN above 3.5, outside the x-range (-1, 3) the identical-sigma probe samples
+    sigma = nan_above_model(3.5).base_sigma
+    lo = SdeModel(drift=_const(0.0), base_sigma=sigma, gamma=0.5, x0=1.0)
+    hi = SdeModel(drift=_const(1.0), base_sigma=sigma, gamma=0.5, x0=1.0)
+
+    def comparison(workers):
+        comparison_check(lo, hi, 1.0, 10, 2048, 7, workers=workers)
+
+    for workers in (1, 2):
+        assert reported(inverse_moment, workers) == (0.00390625, 1.071015454665311, (0, 0, 1, 0))
+        assert reported(comparison, workers) == (0.47265625, 3.5226141281839856, (0, 0, 484, 1131))
+
+    def strong_error(workers):
+        estimate_strong_error(cfg, workers=workers)
+
+    serial = reported(strong_error, 1)
+    assert [reported(strong_error, 2) for _ in range(8)] == [serial] * 8
     monkeypatch.setattr(montecarlo, "TASK_PATHS", 512)
-    assert reported(1) == serial
+    assert reported(strong_error, 1) == serial
 
 
 class TestInverseMoment:
