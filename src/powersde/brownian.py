@@ -41,9 +41,9 @@ Summation order
 ---------------
 Coarsening halves adjacent pairs, so a level-l increment is a fixed binary
 tree over the finest increments it spans, the same for every batch layout.
-The estimators coarsen each chunk rung by rung: the finest increments are
-halved to the finest level they study, and each coarser level is halved
-from the level just above it.  Halving is exact pairwise addition, so the
+The batch engine coarsens each chunk rung by rung: each sweep's increments
+are halved from those of the sweep before it, finest first, down to its
+own level.  Halving is exact pairwise addition, so the
 rung a level is reached from never changes its bits, and a chunk that holds
 whole coarse steps halves exactly as the full lattice would.
 """

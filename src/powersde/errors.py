@@ -12,9 +12,10 @@ class ConfigError(PowerSdeError):
 class InvalidCoefficientError(PowerSdeError):
     """A coefficient returned a non-finite value for finite input.
 
-    order, set by the Euler kernel, is (chunk, sweep rank, step, path) of
-    the bad node: errors met in different path ranges sort by it into the
-    order one sweep over all of them would meet them.
+    order is the sort key of the bad node.  The Euler kernel sets it to
+    (step, path); the batch engine widens it to (chunk, sweep index, step,
+    path), so that errors met in different path ranges sort into the order
+    one walk over all of them would meet them.
     """
 
     def __init__(self, message, t=None, x=None, order=None):

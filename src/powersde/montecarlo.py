@@ -3,26 +3,26 @@ pathwise comparison and clock-change distribution checks.
 
 Determinism contract
 --------------------
-Every estimator is a simulate/reduce pair run by one engine, _map_paths.
-Paths are split into fixed blocks of BLOCK_PATHS; block i always covers the
-same path indices, and no setting changes the blocks.  A task is a run of
-whole blocks, about TASK_PATHS paths wide, swept together one time chunk at
-a time; each block is then reduced on its own, exactly as if it had been
-simulated alone, and the engine folds the block partials in block-index
-order.  Every block partial is a pure function of (seed, block index), so
-results are byte-identical for any worker count, including the serial
-fallback, and for any grouping of blocks into tasks.
+Every estimator is a plan of sweeps and a simulate/reduce pair, run by one
+engine, _map_paths.  Paths are split into fixed blocks of BLOCK_PATHS; block
+i always covers the same path indices, and no setting changes the blocks.  A
+task is a run of whole blocks, about TASK_PATHS paths wide, swept together
+one time chunk at a time; each block is then reduced on its own, exactly as
+if it had been simulated alone, and the engine folds the block partials in
+block-index order.  Every block partial is a pure function of (seed, block
+index), so results are byte-identical for any worker count, including the
+serial fallback, and for any grouping of blocks into tasks.
 
-Each estimator tabulates its grids' time-only coefficient parts in the
-calling process before dispatch, and the engine grows the spare Philox
-generators there to the task width, so workers inherit the tables and the
-generators and only re-key them.  Within a task the sweeps advance through
-each chunk in a fixed order, their rank (reference first, then coarser
-levels).  A task that meets a bad coefficient stops and hands back the
-error, keyed by (chunk, sweep rank, step, path); the engine raises the
-error with the smallest key, which is the one a single task over all paths
-would raise, so the reported (t, x) does not depend on the worker count or
-the task width either.
+The engine walks the lattice: it keys each task's Philox streams and runs
+the plan's sweeps through each time chunk in plan order.  Each estimator
+tabulates its grids' time-only coefficient parts in the calling process
+before dispatch, and the engine grows the spare Philox generators there to
+the task width, so workers inherit the tables and the generators and only
+re-key them.  A task that meets a bad coefficient stops and hands back the
+error, keyed by (chunk, sweep index, step, path): the kernel sets (step,
+path) and the engine the rest.  It raises the error with the smallest key,
+which is the one a single task over all paths would raise, so the reported
+(t, x) does not depend on the worker count or the task width either.
 
 Explosion policy
 ----------------
@@ -119,22 +119,51 @@ def _task_runs(n_blocks: int, workers: int) -> list[int]:
     return [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
 
 
-def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
+def _walk(streams: PathStreams, sweeps: list, width: int):
+    """Run the sweeps through the lattice of streams a time chunk at a time;
+    after sweep i, yield (i, k0, nodes): the global index of the chunk's first
+    step on its grid and the kept nodes the sweep reached.
+
+    A chunk is drawn at the first sweep's level, CHUNK_STEPS steps widened to
+    one coarsest step and capped at the lattice, into one buffer width paths
+    wide for every task of a call (buffers of different sizes could double a
+    worker's resident peak).  Each later sweep runs on the previous one's
+    increments halved down to its own level.  A bad coefficient's (step,
+    path) is widened to (chunk, i, step, path).
+    """
+    levels = [sweep.grid.n_steps.bit_length() - 1 for sweep in sweeps]
+    chunk = min(streams.n_steps, max(CHUNK_STEPS, 1 << (levels[0] - min(levels))))
+    buf = np.empty((chunk, width))[:, : len(streams.generators)]
+    for c in range(streams.n_steps // chunk):
+        inc = sample_increment_batch(streams, chunk, out=buf)
+        for i, sweep in enumerate(sweeps):
+            if i and levels[i] < levels[i - 1]:
+                inc = coarsen_increments(inc, levels[i - 1] - levels[i])
+            try:  # yielded straight: a local would keep them through the next sweep
+                yield i, sweep.step, euler_batch(sweep, inc)
+            except InvalidCoefficientError as exc:
+                exc.order = (c, i, *exc.order)
+                raise
+
+
+def _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
     """Simulate runs of fixed path blocks and merge their block partials in
     block order.
 
-    simulate(first_path, n_paths, width) sweeps one run of paths together
-    and returns (results, sweeps): its per-path results and the sweeps that
-    made them; width is the widest run's path count, the same for every
-    task of the call.  A path is dropped if it went non-finite in any of the
-    sweeps.  reduce_block(results, rows) reduces the surviving paths of one
-    block, rows being their indices into the run in path order, to a tuple
-    of sums, inside the worker and exactly as a run of that block alone
-    would.  Partials are folded left to right in block-index order with
-    merge (slotwise addition by default).  Returns (total, dropped).  Of the
-    bad coefficients the tasks meet, the one first in order (path being the
-    global index) is raised.
+    plan lists (grid, keep_stride) pairs, finest first: each task walks its
+    paths' lattice under seed through one EulerSweep per pair (see _walk).
+    simulate(walk, n_paths, width) consumes the walk and returns its per-path
+    results; width is the widest run's path count.  A path is dropped if it
+    went non-finite in any sweep.  reduce_block(results, rows) reduces the
+    surviving paths of one block, rows being their indices into the run in
+    path order, to a tuple of sums, inside the worker and exactly as a run
+    of that block alone would.  Partials are folded left to right in
+    block-index order with merge (slotwise addition by default).  Returns
+    (total, dropped).  Of the bad coefficients the tasks meet, the one first
+    in order (path being the global index) is raised.
     """
+    if paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
     if on_explosion not in ("abort", "drop"):
         raise ValueError("on_explosion must be 'abort' or 'drop'")
     if workers is None:
@@ -143,15 +172,17 @@ def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_
     n_blocks = -(-paths // BLOCK_PATHS)
     cuts = [min(cut * BLOCK_PATHS, paths) for cut in _task_runs(n_blocks, workers)]
     width = max(b - a for a, b in zip(cuts, cuts[1:]))
+    level = plan[0][0].n_steps.bit_length() - 1
 
     def task(i):
         p0 = cuts[i]
         n = cuts[i + 1] - p0
+        streams = PathStreams(seed, p0, n, level, horizon)
+        sweeps = [EulerSweep(grid, n, keep_stride) for grid, keep_stride in plan]
         try:
-            results, sweeps = simulate(p0, n, width)
+            results = simulate(_walk(streams, sweeps, width), n, width)
         except InvalidCoefficientError as exc:
-            chunk, rank, step, path = exc.order
-            exc.order = (chunk, rank, step, p0 + path)
+            exc.order = (*exc.order[:3], p0 + exc.order[3])
             return exc
         bad = np.any([sweep.first_bad >= 0 for sweep in sweeps], axis=0)
         blocks = []
@@ -176,28 +207,6 @@ def _map_paths(simulate, reduce_block, paths, workers, on_explosion, merge=_add_
     if dropped == paths:
         raise SimulationAbort("every path exploded", n_flagged=dropped)
     return reduce(merge, (partial for partial, _ in partials)), dropped
-
-
-def _chunk_steps(level: int, coarsest: int) -> int:
-    """Fine steps per chunk of a level-`level` lattice whose coarsest grid
-    is level `coarsest`: CHUNK_STEPS, widened to hold one coarsest step,
-    capped at the whole lattice."""
-    return min(1 << level, max(CHUNK_STEPS, 1 << (level - coarsest)))
-
-
-def _chunks(streams: PathStreams, chunk: int, width: int):
-    """The lattice of streams in time order, chunk steps at a time.
-
-    Every chunk is written into the same buffer, so a chunk is valid until
-    the next one is drawn.  The buffer is allocated width paths wide, the
-    same for every task of a call, and only its first columns are used: when
-    a worker's tasks asked for chunk buffers of different sizes, the C heap
-    could keep a freed one resident while mapping the next, doubling the
-    worker's peak memory.
-    """
-    buf = np.empty((chunk, width))[:, : len(streams.generators)]
-    for _ in range(streams.n_steps // chunk):
-        yield sample_increment_batch(streams, chunk, out=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -301,42 +310,34 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     fine-grid reference, with a fitted convergence order.
 
     Every path is simulated once at the reference level and once per studied
-    level, all from one Brownian lattice, so differences are pathwise.  Each
-    task's lattice is streamed in time chunks, and each chunk is walked down
-    a halving ladder, finest studied level first, each level coarsened from
-    the one above it; only the current chunk and rung are held, plus each
-    level's per-node errors.  The reference trajectory keeps only its values
+    level, all from one Brownian lattice, so differences are pathwise.  The
+    engine walks each chunk of the lattice through the reference and then
+    the studied levels, finest first, each coarsened from the one above it;
+    only the current chunk and rung are held, plus each level's per-node
+    errors.  The reference trajectory keeps only its values
     on the finest studied grid, one chunk at a time.
     """
     model = config.model
     T = config.horizon
     levels = config.levels
     lmax = max(levels)
-    ref_stride = 1 << (config.ref_level - lmax)
-    ref_grid = EulerGrid(model, T, 1 << config.ref_level)
-    grids = [EulerGrid(model, T, 1 << level) for level in levels]
-    chunk = _chunk_steps(config.ref_level, levels[0])
+    # the reference, kept on the finest studied grid, then finest first
+    plan = [(EulerGrid(model, T, 1 << config.ref_level), 1 << (config.ref_level - lmax))]
+    plan += [(EulerGrid(model, T, 1 << level), 1) for level in reversed(levels)]
 
-    def simulate(p0, b, width):
-        streams = PathStreams(config.master_seed, p0, b, config.ref_level, T)
-        ref_sweep = EulerSweep(ref_grid, b, keep_stride=ref_stride)
-        # run finest first, right after the reference
-        sweeps = [EulerSweep(grid, b, rank=len(grids) - i) for i, grid in enumerate(grids)]
+    def simulate(walk, b, width):
         # |reference - scheme| at every node of each level, path-major so a
         # block's path sums add row after row as a one-block run would;
         # node 0 is x0 on both, a zero error
         diffs = [np.zeros((b, (1 << level) + 1)) for level in levels]
-        for inc in _chunks(streams, chunk, width):
-            ref_nodes = euler_batch(ref_sweep, inc)
-            above = config.ref_level
-            for i in reversed(range(len(levels))):
-                inc = coarsen_increments(inc, above - levels[i])
-                above = levels[i]
-                k0 = sweeps[i].step
-                nodes = euler_batch(sweeps[i], inc)
-                step = 1 << (lmax - levels[i])
-                diffs[i][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
-        return diffs, [ref_sweep, *sweeps]
+        for i, k0, nodes in walk:
+            if i == 0:
+                ref_nodes = nodes
+                continue
+            j = len(levels) - i
+            step = 1 << (lmax - levels[j])
+            diffs[j][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
+        return diffs
 
     def reduce_block(diffs, rows):
         sums = []
@@ -345,7 +346,9 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
             sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
         return tuple(sums)
 
-    sums, dropped = _map_paths(simulate, reduce_block, config.paths, workers, config.on_explosion)
+    sums, dropped = _map_paths(
+        config.master_seed, T, plan, simulate, reduce_block, config.paths, workers, config.on_explosion
+    )
     m_eff = config.paths - dropped
 
     errors, stderrs, argmaxes = [], [], []
@@ -490,18 +493,19 @@ def estimate_inverse_moment(
     merged as they arrive: at most 1 + log2(chunks) of them.
     """
     _check_horizon(horizon)
-    if q > 0.0:
-        raise ValueError("q must be nonpositive")
+    if not q <= 0.0:
+        raise ValueError(f"q must be nonpositive, got {q}")
+    if cap is not None and not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap}")
+    if not growth_factor > 1.0:
+        raise ValueError(f"growth_factor must exceed 1, got {growth_factor}")
     if ref_level < 2:
         raise ValueError("ref_level must be at least 2 for the refinement diagnostic")
     if ref_level > MAX_LEVEL:
         raise ValueError(f"ref_level {ref_level} exceeds the memory guard {MAX_LEVEL}")
     ref_levels = (ref_level - 2, ref_level - 1, ref_level)
 
-    caps = []
-    for level in ref_levels:
-        dt = horizon / (1 << level)
-        caps.append((1.0 / dt) if cap is None else float(cap))
+    caps = [1.0 / (horizon / (1 << level)) if cap is None else float(cap) for level in ref_levels]
 
     if q == 0.0:
         # integrand identically one: the integral is the horizon, exactly
@@ -518,34 +522,28 @@ def estimate_inverse_moment(
         )
 
     grids = [EulerGrid(model, horizon, 1 << level) for level in ref_levels]
-    chunk = _chunk_steps(ref_level, ref_levels[0])
 
-    def simulate(p0, b, width):
-        streams = PathStreams(seed, p0, b, ref_level, horizon)
-        # run finest first
-        sweeps = [EulerSweep(grid, b, rank=len(grids) - 1 - i) for i, grid in enumerate(grids)]
+    def simulate(walk, b, width):
         # the node before each sweep's next chunk: x_{k0}, the first left end
         last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
         partials = [[] for _ in ref_levels]
         cap_hits = [np.zeros(b, dtype=np.int64) for _ in ref_levels]
-        # width wide, like the chunk buffer, so every task asks for the same sizes
-        scratch = np.empty(width * chunk)
-        slab = np.empty(width * SLAB_STEPS)
-        for inc in _chunks(streams, chunk, width):
-            for i in reversed(range(len(ref_levels))):
-                if ref_levels[i] < ref_level:
-                    inc = coarsen_increments(inc, 1)
-                k0 = sweeps[i].step
-                nodes = euler_batch(sweeps[i], inc)
-                sums = _capped_row_sums(grids[i], k0, last[i], nodes, q, caps[i], cap_hits[i], scratch, slab)
-                _merge_partial(partials[i], sums)
-                # copied, so that no view keeps this level's nodes alive
-                # through the next level's sweep
-                last[i] = nodes[-1:].copy()
-                del nodes
+        scratch = None
+        for i, k0, nodes in walk:
+            if scratch is None:
+                # one finest chunk, width wide so every task asks for the same sizes
+                scratch = np.empty(width * len(nodes))
+                slab = np.empty(width * SLAB_STEPS)
+            j = len(grids) - 1 - i
+            sums = _capped_row_sums(grids[j], k0, last[j], nodes, q, caps[j], cap_hits[j], scratch, slab)
+            _merge_partial(partials[j], sums)
+            # copied, so that no view keeps this level's nodes alive
+            # through the next level's sweep
+            last[j] = nodes[-1:].copy()
+            del nodes
         # the chunk count is a power of two, so one partial is left per level
         per_path = [total * grid.dt for [(_, total)], grid in zip(partials, grids)]
-        return (per_path, cap_hits), sweeps
+        return per_path, cap_hits
 
     def reduce_block(results, rows):
         sums = []
@@ -554,7 +552,9 @@ def estimate_inverse_moment(
             sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[rows].sum())]
         return tuple(sums)
 
-    sums, dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
+    # finest first, each level halved from the one above it
+    plan = [(grid, 1) for grid in reversed(grids)]
+    sums, dropped = _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion)
     m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
@@ -636,6 +636,10 @@ def comparison_check(
     -tolerance should be small and should shrink as the level grows.
     """
     _check_horizon(horizon)
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     if model_lo.x0 > model_hi.x0:
         raise HypothesisError("model_lo must start at or below model_hi")
     if model_lo.gamma != model_hi.gamma:
@@ -651,22 +655,19 @@ def comparison_check(
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 
-    grid_lo = EulerGrid(model_lo, horizon, 1 << level)
-    grid_hi = EulerGrid(model_hi, horizon, 1 << level)
-    chunk = _chunk_steps(level, level)
+    plan = [(EulerGrid(model, horizon, 1 << level), 1) for model in (model_lo, model_hi)]
 
-    def simulate(p0, b, width):
-        streams = PathStreams(seed, p0, b, level, horizon)
-        lo = EulerSweep(grid_lo, b)
-        hi = EulerSweep(grid_hi, b, rank=1)
+    def simulate(walk, b, width):
         # each path's smallest gap over all nodes, node 0 included; min is
         # exact, so taking it chunk by chunk changes no bit
         worst = np.full(b, float(model_hi.x0) - float(model_lo.x0))
-        for inc in _chunks(streams, chunk, width):
-            lo_nodes = euler_batch(lo, inc)
-            gaps = euler_batch(hi, inc) - lo_nodes
-            np.minimum(worst, gaps.min(axis=0), out=worst)
-        return worst, [lo, hi]
+        for i, _, nodes in walk:
+            if i == 0:
+                lo_nodes = nodes
+            else:
+                np.minimum(worst, (nodes - lo_nodes).min(axis=0), out=worst)
+            del nodes
+        return worst
 
     def reduce_block(worst, rows):
         kept = worst[rows]
@@ -678,7 +679,7 @@ def comparison_check(
         return a[0] + b[0], max(a[1], b[1])
 
     (n_violating, max_violation), dropped = _map_paths(
-        simulate, reduce_block, paths, workers, on_explosion, merge
+        seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion, merge
     )
     return ComparisonReport(
         level=level,
@@ -717,21 +718,18 @@ class TimeChangeReport:
 
 
 def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion):
-    grid = EulerGrid(model, horizon, 1 << level)
-    chunk = _chunk_steps(level, level)
+    plan = [(EulerGrid(model, horizon, 1 << level), 1 << level)]
 
-    def simulate(p0, b, width):
-        streams = PathStreams(seed, p0, b, level, horizon)
-        sweep = EulerSweep(grid, b, keep_stride=1 << level)
-        for inc in _chunks(streams, chunk, width):
-            kept = euler_batch(sweep, inc)
-        return kept[-1], [sweep]
+    def simulate(walk, b, width):
+        for _, _, kept in walk:  # only the last chunk keeps a node
+            pass
+        return kept[-1]
 
     def reduce_block(end, rows):
         good = end[rows]
         return (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
 
-    (s1, s2, s3, s4), dropped = _map_paths(simulate, reduce_block, paths, workers, on_explosion)
+    (s1, s2, s3, s4), dropped = _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion)
     m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2
@@ -757,6 +755,10 @@ def timechange_check(
     two samples are independent and plain two-sample z-tests apply.  dropped
     counts the paths of both samples that went non-finite.
     """
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must lie in (0, 1), got {significance}")
     model = make_prototype(params)
     tc = build_timechange(params.theta, params.horizon)
     changed = time_changed_model(params, tc)

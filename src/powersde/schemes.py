@@ -65,17 +65,14 @@ class EulerSweep:
 
     x holds the current node of every path (0.0 on frozen paths), step the
     global index of the next step, and first_bad[i] the first node index at
-    which path i went non-finite, or -1.  rank is the sweep's place among
-    the sweeps that advance through the same chunks, lowest first; it only
-    orders their bad-coefficient errors.
+    which path i went non-finite, or -1.
     """
 
-    def __init__(self, grid: EulerGrid, n_paths: int, keep_stride: int = 1, rank: int = 0):
+    def __init__(self, grid: EulerGrid, n_paths: int, keep_stride: int = 1):
         if keep_stride < 1 or grid.n_steps % keep_stride != 0:
             raise ValueError("keep_stride must divide the step count")
         self.grid = grid
         self.keep_stride = keep_stride
-        self.rank = rank
         self.x = np.full(n_paths, float(grid.model.x0))
         self.first_bad = np.full(n_paths, -1, dtype=np.int64)
         self.step = 0
@@ -89,7 +86,8 @@ def euler_batch(sweep: EulerSweep, increments: np.ndarray) -> np.ndarray:
     the start, is never returned).  Frozen paths read NaN in kept rows after
     the node where they went non-finite, while the rest of the batch
     continues.  A non-finite sigma(t_k, x_k) on a live path is a bad
-    coefficient, not an explosion, and raises InvalidCoefficientError.
+    coefficient, not an explosion, and raises InvalidCoefficientError with
+    order (step, path): the global step k and the path's column.
     """
     increments = np.asarray(increments, dtype=float)
     x = sweep.x
@@ -130,8 +128,7 @@ def euler_batch(sweep: EulerSweep, increments: np.ndarray) -> np.ndarray:
                         f"base sigma returned a non-finite value at (t={t}, x={x_bad})",
                         t=t,
                         x=x_bad,
-                        # a sweep's chunks are equal, so k0 // n numbers this one
-                        order=(k0 // n, sweep.rank, k, i),
+                        order=(k, i),
                     )
                 newly = alive & ~finite
                 if newly.any():

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from powersde.brownian import PathStreams, derive_seed, sample_increment_batch
+from powersde.brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from powersde.errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from powersde.models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from powersde.params import AffineParam, SinusoidalParam
+from powersde.schemes import EulerGrid, EulerSweep
 from powersde import montecarlo
 from powersde.montecarlo import (
     ComparisonReport,
@@ -324,6 +325,28 @@ class TestWrightFisherContainment:
         assert kept.max() < 1.5
 
 
+def test_the_walk_runs_every_chunk_through_the_sweeps_in_plan_order(monkeypatch, cir_model):
+    """With 16-step chunks a level-7 lattice walks in 8 chunks through two
+    sweeps at level 7 and one at level 5.  Each chunk visits the sweeps in
+    plan order, and each sweep's nodes, joined over the chunks, are bit-equal
+    to one run on the whole lattice halved to the sweep's level."""
+    monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 16)
+    level, n_paths, seed = 7, 5, 3
+    halvings = (0, 0, 2)
+    sweeps = [EulerSweep(EulerGrid(cir_model, 1.0, 1 << (level - h)), n_paths) for h in halvings]
+    # a buffer wider than the task, as for the narrower tasks of a call
+    walk = montecarlo._walk(PathStreams(seed, 0, n_paths, level, 1.0), sweeps, width=8)
+    visits, nodes = [], [[] for _ in sweeps]
+    for i, k0, kept in walk:
+        visits.append((i, k0))
+        nodes[i].append(kept)
+    assert visits == [(i, c * 16 >> h) for c in range(8) for i, h in enumerate(halvings)]
+    lattice = sample_increment_batch(PathStreams(seed, 0, n_paths, level, 1.0))
+    for joined, h in zip(nodes, halvings):
+        whole, _ = euler_run(cir_model, coarsen_increments(lattice, h), 1.0)
+        np.testing.assert_array_equal(np.concatenate(joined).T, whole[:, 1:])
+
+
 # three 512-path blocks, the last one partial
 MULTI_BLOCK_PATHS = 1200
 
@@ -383,6 +406,46 @@ def test_a_bad_horizon_is_rejected_before_any_work(monkeypatch, cir_model, cir_p
             comparison_check(cir_model, cir_model, horizon, 4, 16, 3, workers=1)
         else:
             timechange_check(dataclasses.replace(cir_params, horizon=horizon), 4, 16, 9, workers=1)
+
+
+BAD_ARGUMENTS = [
+    ("inverse_moment", "paths", 0),
+    ("comparison", "paths", 0),
+    ("timechange", "paths", -1),
+    ("inverse_moment", "cap", math.nan),
+    ("inverse_moment", "cap", 0.0),
+    ("inverse_moment", "cap", -1.0),
+    ("inverse_moment", "q", math.nan),
+    ("inverse_moment", "growth_factor", 1.0),
+    ("inverse_moment", "growth_factor", 0.5),
+    ("inverse_moment", "growth_factor", math.nan),
+    ("timechange", "significance", 0.0),
+    ("timechange", "significance", 1.0),
+    ("timechange", "significance", math.nan),
+    ("comparison", "level", -1),
+    ("comparison", "tolerance", -1.0),
+    ("timechange", "level", -1),
+]
+
+
+@pytest.mark.parametrize("name, arg, value", BAD_ARGUMENTS)
+def test_a_bad_argument_is_named_before_any_pool_starts(monkeypatch, cir_model, cir_params, name, arg, value):
+    def dispatch_nothing(*args, **kwargs):
+        raise AssertionError("tasks were dispatched on a bad argument")
+
+    monkeypatch.setattr(montecarlo, "_run_batches", dispatch_nothing)
+    if name == "inverse_moment":
+        run = estimate_inverse_moment
+        kwargs = dict(model=cir_model, q=-1.0, horizon=1.0, ref_level=4, paths=16, seed=5)
+    elif name == "comparison":
+        run = comparison_check
+        kwargs = dict(model_lo=cir_model, model_hi=cir_model, horizon=1.0, level=4, paths=16, seed=3)
+    else:
+        run = timechange_check
+        kwargs = dict(params=cir_params, level=4, paths=16, seed=9)
+    kwargs[arg] = value
+    with pytest.raises(ValueError, match=rf"^{arg} "):
+        run(workers=1, **kwargs)
 
 
 def test_estimator_outputs_are_pinned(cir_model):
