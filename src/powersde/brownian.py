@@ -42,10 +42,10 @@ Summation order
 Coarsening halves adjacent pairs, so a level-l increment is a fixed binary
 tree over the finest increments it spans, the same for every batch layout.
 The batch engine coarsens each chunk rung by rung: each sweep's increments
-are halved from those of the sweep before it, finest first, down to its
-own level.  Halving is exact pairwise addition, so the
-rung a level is reached from never changes its bits, and a chunk that holds
-whole coarse steps halves exactly as the full lattice would.
+are halved from those of the sweep before it, finest first, down to its own
+level.  Halving is exact pairwise addition, so the rung a level is reached
+from never changes its bits, and a chunk that holds whole coarse steps
+halves exactly as the full lattice would.
 """
 
 from __future__ import annotations

@@ -314,8 +314,7 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     engine walks each chunk of the lattice through the reference and then
     the studied levels, finest first, each coarsened from the one above it;
     only the current chunk and rung are held, plus each level's per-node
-    errors.  The reference trajectory keeps only its values
-    on the finest studied grid, one chunk at a time.
+    errors.  The reference keeps only its values on the finest studied grid.
     """
     model = config.model
     T = config.horizon
@@ -666,7 +665,7 @@ def comparison_check(
                 lo_nodes = nodes
             else:
                 np.minimum(worst, (nodes - lo_nodes).min(axis=0), out=worst)
-            del nodes
+            del nodes  # only lo's nodes stay alive while the walk resumes
         return worst
 
     def reduce_block(worst, rows):
