@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from powersde.config import (
@@ -10,6 +11,7 @@ from powersde.config import (
     resolve_config,
 )
 from powersde.errors import ConfigError
+from powersde.models import KINDS
 from powersde.montecarlo import ExperimentConfig
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
 
@@ -237,3 +239,43 @@ def test_format_resolved_shows_filled_defaults():
     assert "[experiment]" in text
     assert "ref_level = 13" in text
     assert "paths = 10000" in text
+
+
+# Every default the resolver fills in, pinned per kind and per model section.
+@pytest.mark.parametrize("section", ["model", "model_hi"])
+@pytest.mark.parametrize(
+    "kind,x0,gamma", [("cir", 1.0, 0.5), ("wf", 0.5, 0.5), ("ckls", 1.0, 0.75), ("custom", 1.0, 0.5)]
+)
+def test_model_defaults_are_pinned(section, kind, x0, gamma):
+    given = {"kind": kind}
+    if kind == "ckls":  # the one kind without a default gamma
+        given["gamma"] = "0.75"
+    if kind == "custom":
+        given.update(drift="neg_x", sigma="one")
+    cfg = resolve_config({section: given})
+    model = cfg.model if section == "model" else cfg.model_hi
+    assert (model.x0, model.gamma, cfg.horizon) == (x0, gamma, 1.0)
+    xs = np.array([0.25, 0.5, 0.75])
+    if kind == "custom":
+        assert model.domain is None
+        assert list(model.drift(0.5, xs)) == list(-xs)
+        assert list(model.base_sigma(0.5, xs)) == [1.0, 1.0, 1.0]
+        return
+    # kappa = lam = theta = 1: drift 1 - x and sigma the kind's bare shape
+    assert list(model.drift(0.5, xs)) == list(1.0 - xs)
+    assert list(model.base_sigma(0.5, xs)) == list(KINDS[kind][1](xs))
+    if section == "model":
+        p = cfg.prototype
+        assert (p.kappa, p.lam, p.theta, p.x0, p.gamma, p.horizon) == (
+            ConstantParam(1.0), ConstantParam(1.0), ConstantParam(1.0), x0, gamma, 1.0
+        )
+
+
+def test_experiment_condition_and_output_defaults_are_pinned():
+    cfg = resolve_config({})
+    assert (cfg.levels, cfg.ref_level, cfg.paths, cfg.seed, cfg.on_explosion) == (
+        (4, 5, 6, 7, 8, 9), 13, 10000, 0, "abort"
+    )
+    # neither q nor s is set, so there is no q
+    assert (cfg.q, cfg.cap, cfg.growth_factor, cfg.tolerance, cfg.significance) == (None, None, 1.2, 1e-3, 1e-3)
+    assert (cfg.out, cfg.plot) == (None, None)
