@@ -16,9 +16,10 @@ Floats carry 17 significant digits, so files round-trip.
 
 Every subcommand takes ``--config FILE`` plus overrides (``--paths``,
 ``--seed``, ``--levels a:b``, ``--ref-level``, ``--out``), ``--workers``
-(env fallback ``HE_WORKERS``) and ``--dry-run``.  Exit codes: 0 success,
-2 simulation abort, 3 config error, 4 hypothesis failure, 5 invalid
-coefficient.
+(env fallback ``HE_WORKERS``) and ``--dry-run``.  The override flags are
+generated from the config's key table and parsed as INI text.  Exit codes:
+0 success, 2 simulation abort (or an argparse usage error), 3 config error,
+4 hypothesis failure, 5 invalid coefficient.
 
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
@@ -36,7 +37,7 @@ import sys
 from typing import Optional
 
 from .brownian import derive_seed
-from .config import RunConfig, apply_overrides, format_resolved, load_config, resolve_config
+from .config import OVERRIDES, RunConfig, apply_overrides, format_resolved, load_config, parse_number, resolve_config
 from .criteria import autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
@@ -75,16 +76,11 @@ def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_workers(workers: Optional[int]) -> Optional[int]:
-    if workers is not None:
-        return workers
+def _resolve_workers(flag: Optional[str]) -> Optional[int]:
+    if flag is not None:
+        return parse_number(flag, "--workers", integer=True)
     env = os.environ.get("HE_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HE_WORKERS: cannot parse {env!r} as an integer")
-    return None
+    return parse_number(env, "HE_WORKERS", integer=True) if env else None
 
 
 def _prototype(cfg: RunConfig, command: str):
@@ -335,12 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--paths", type=int, help="override experiment.paths")
-        p.add_argument("--seed", type=int, help="override experiment.seed")
-        p.add_argument("--levels", help="override experiment.levels (a:b or comma list)")
-        p.add_argument("--ref-level", type=int, dest="ref_level", help="override experiment.ref_level")
-        p.add_argument("--out", help="override output.out")
-        p.add_argument("--workers", type=int, help="worker processes (default: cpu count; env HE_WORKERS)")
+        for key, section in OVERRIDES.items():  # parsed as INI text, by the key's own parser
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"override {section}.{key}")
+        p.add_argument("--workers", help="worker processes (default: cpu count; env HE_WORKERS)")
         p.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
     return parser
 
@@ -348,15 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = load_config(args.config)
-        raw = apply_overrides(
-            raw,
-            paths=args.paths,
-            seed=args.seed,
-            levels=args.levels,
-            ref_level=args.ref_level,
-            out=args.out,
-        )
+        raw = apply_overrides(load_config(args.config), **{key: getattr(args, key) for key in OVERRIDES})
         if args.dry_run:
             sys.stdout.write(format_resolved(raw))
             return 0

@@ -3,8 +3,10 @@
 The format is a flat INI file: ``[section]`` headers with ``key = value``
 lines, no nesting.  Four sections are recognized (``model``, ``experiment``,
 ``condition``, ``output``) plus an optional ``model_hi`` block that gives the
-second model of a pathwise comparison; it takes the same keys as ``model``
-and defaults to a copy of it.
+second model of a pathwise comparison; it takes the keys of ``model`` but
+``horizon`` and defaults to a copy of it.  Each section's keys and their
+defaults are declared once, in the key table below; a key its section (or
+its model kind) does not read is an error, never ignored.
 
 Parameter-valued keys (kappa, lam, theta) accept either a bare number or a
 family spec:
@@ -28,12 +30,13 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .models import KINDS, CoefficientFn, PrototypeParams, SdeModel, make_prototype
+from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import BLOCK_PATHS
 from .params import AffineParam, ConstantParam, SinusoidalParam
 from .schemes import MAX_LEVEL
@@ -43,6 +46,7 @@ __all__ = [
     "BUILTIN_COEFFICIENTS",
     "parse_param_spec",
     "parse_levels",
+    "parse_number",
     "load_config",
     "resolve_config",
     "format_resolved",
@@ -117,47 +121,138 @@ def parse_levels(text: str, where: str) -> tuple[int, ...]:
         raise ConfigError(f"{where}: cannot parse {text!r} as levels (use a:b or a comma list)")
 
 
-def _get_float(sec, section, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"[{section}] {key}: required key is missing")
-        return default
+def parse_number(text: str, where: str, integer: bool = False):
+    """A finite float, or an int when integer is set: the one reader of
+    every numeric key, override flag and HE_WORKERS."""
     try:
-        value = float(sec[key])
+        value = int(text) if integer else float(text)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {sec[key]!r} as a number")
+        raise ConfigError(f"{where}: cannot parse {text!r} as {'an integer' if integer else 'a number'}")
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: {sec[key]!r} is not finite")
+        raise ConfigError(f"{where}: {text!r} is not finite")
     return value
 
 
-def _get_int(sec, section, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"[{section}] {key}: required key is missing")
-        return default
+_integer = partial(parse_number, integer=True)
+
+
+def _optional_number(text, where):
+    return parse_number(text, where) if text.strip() else None
+
+
+def _word(text, where):
+    return text.strip().lower()
+
+
+def _path(text, where):
+    return text or None
+
+
+def _cap(text, where):
+    return None if text.strip().lower() in ("auto", "") else parse_number(text, where)
+
+
+def _coefficient(text, where):
+    name = text.strip()
+    if name not in BUILTIN_COEFFICIENTS:
+        known = ", ".join(sorted(BUILTIN_COEFFICIENTS))
+        raise ConfigError(f"{where}: unknown coefficient {name!r} (builtins: {known})")
+    return name
+
+
+def _domain(text, where):
+    """'lo,hi', where an endpoint may be infinite; empty for none."""
+    if not text.strip():
+        return None
     try:
-        return int(sec[key])
+        lo, hi = (float(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {sec[key]!r} as an integer")
+        raise ConfigError(f"{where}: cannot parse {text!r} as 'lo,hi'")
+    return lo, hi
 
 
-_MODEL_KEYS = {"kind", "kappa", "lam", "theta", "x0", "gamma", "horizon", "drift", "sigma", "domain"}
-_EXPERIMENT_KEYS = {"levels", "ref_level", "paths", "seed", "on_explosion"}
-_CONDITION_KEYS = {"s", "q", "cap", "growth_factor", "tolerance", "significance"}
-_OUTPUT_KEYS = {"out", "plot"}
-_SECTION_KEYS = {
-    "model": _MODEL_KEYS,
-    "model_hi": _MODEL_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-    "condition": _CONDITION_KEYS,
-    "output": _OUTPUT_KEYS,
+# ---------------------------------------------------------------------------
+# the key table
+#
+# Each section lists the keys it reads as key: (default, parser), the default
+# as INI text and None for a required key.  A model section reads "kind" and
+# then the keys of that kind in KIND_KEYS; only [model] reads "horizon", on
+# which both models of a pair run.  A key its section does not read is a
+# config error.  OVERRIDES names the section of each key a CLI flag
+# (--paths, --seed, --levels, --ref-level, --out) overrides.
+
+KEYS = {
+    "model": {"kind": ("cir", _word), "horizon": ("1.0", parse_number)},
+    "model_hi": {"kind": ("cir", _word)},
+    "experiment": {
+        "levels": ("4:9", parse_levels),
+        "ref_level": ("13", _integer),
+        "paths": ("10000", _integer),
+        "seed": ("0", _integer),
+        "on_explosion": ("abort", _word),
+    },
+    "condition": {
+        "s": ("", _optional_number),  # q = 2 (gamma + s - 1) when q is unset
+        "q": ("", _optional_number),
+        "cap": ("auto", _cap),
+        "growth_factor": ("1.2", parse_number),
+        "tolerance": ("0.001", parse_number),
+        "significance": ("0.001", parse_number),
+    },
+    "output": {"out": ("", _path), "plot": ("", _path)},
+}
+_PROTOTYPE_KEYS = {
+    "kappa": ("1.0", parse_param_spec),
+    "lam": ("1.0", parse_param_spec),
+    "theta": ("1.0", parse_param_spec),
+    "x0": ("1.0", parse_number),
+    "gamma": ("0.5", parse_number),
+}
+KIND_KEYS = {
+    "cir": _PROTOTYPE_KEYS,
+    "wf": {**_PROTOTYPE_KEYS, "x0": ("0.5", parse_number)},
+    "ckls": {**_PROTOTYPE_KEYS, "gamma": (None, parse_number)},
+    "custom": {
+        "drift": (None, _coefficient),
+        "sigma": (None, _coefficient),
+        "gamma": ("0.5", parse_number),
+        "x0": ("1.0", parse_number),
+        "domain": ("", _domain),
+    },
+}
+OVERRIDES = {
+    "paths": "experiment", "seed": "experiment", "levels": "experiment", "ref_level": "experiment", "out": "output"
 }
 # keys earlier versions accepted, and why they are gone
 _REMOVED_KEYS = {
     ("experiment", "batch_size"): f"paths are summed in fixed blocks of {BLOCK_PATHS}",
     ("condition", "epsilon"): "no command read it",
 }
+
+
+def _read(raw: dict, section: str) -> dict:
+    """key: (text, parser) for every key section reads, defaults filling the gaps."""
+    keys, given, reader = KEYS[section], raw.get(section, {}), "this section"
+    if "kind" in keys:
+        kind = _word(given.get("kind", keys["kind"][0]), f"[{section}] kind")
+        if kind not in KIND_KEYS:
+            raise ConfigError(f"[{section}] kind: unknown kind {kind!r} (expected {', '.join(KIND_KEYS)})")
+        keys, reader = {**keys, **KIND_KEYS[kind]}, f"a {kind} model in this section"
+    for key in given:
+        if (section, key) in _REMOVED_KEYS:
+            raise ConfigError(f"[{section}] {key}: this key was removed ({_REMOVED_KEYS[section, key]})")
+        if key not in keys:
+            raise ConfigError(f"[{section}] {key}: unknown key ({reader} reads {', '.join(keys)})")
+    read = {key: (given.get(key, default), parse) for key, (default, parse) in keys.items()}
+    for key, (text, _) in read.items():
+        if text is None:
+            raise ConfigError(f"[{section}] {key}: required key is missing")
+    return read
+
+
+def _values(raw: dict, section: str) -> dict:
+    """Every key section reads, parsed."""
+    return {key: parse(text, f"[{section}] {key}") for key, (text, parse) in _read(raw, section).items()}
 
 
 @dataclass(frozen=True)
@@ -199,186 +294,103 @@ def load_config(path: Optional[str]) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"config file {path!r}: {exc}")
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"[{section}]: unknown section (expected model, model_hi, experiment, condition, output)")
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if (section, key) in _REMOVED_KEYS:
-                raise ConfigError(f"[{section}] {key}: this key was removed ({_REMOVED_KEYS[section, key]})")
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"[{section}] {key}: unknown key")
-            raw[section][key] = value
+        if section not in KEYS:
+            raise ConfigError(f"[{section}]: unknown section (expected {', '.join(KEYS)})")
+        raw[section] = dict(parser.items(section))
+        _read(raw, section)  # rejects a key the section does not read
     return raw
 
 
 def apply_overrides(raw: dict, **overrides) -> dict:
-    """Merge CLI override flags into the raw config (strings).
-
-    Recognized: paths, seed, levels, ref_level, out.
-    """
+    """Merge CLI override flags, keyed as in OVERRIDES, into the raw config
+    as strings."""
     out = {s: dict(kv) for s, kv in raw.items()}
-    mapping = {
-        "paths": ("experiment", "paths"),
-        "seed": ("experiment", "seed"),
-        "levels": ("experiment", "levels"),
-        "ref_level": ("experiment", "ref_level"),
-        "out": ("output", "out"),
-    }
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        section, key = mapping[name]
-        out.setdefault(section, {})[key] = str(value)
+    for key, value in overrides.items():
+        if value is not None:
+            out.setdefault(OVERRIDES[key], {})[key] = str(value)
     return out
 
 
-def _resolve_model(raw: dict, section: str):
-    """Build (kind, SdeModel, PrototypeParams|None) from a model block."""
-    sec = raw.get(section, {})
-    if section == "model_hi" and not sec:
-        return None
-    kind = sec.get("kind", "cir").strip().lower()
-    horizon = _get_float(sec, section, "horizon", 1.0)
-    if horizon <= 0.0:
-        raise ConfigError(f"[{section}] horizon: must be positive")
-    if kind in KINDS:
-        kappa = parse_param_spec(sec.get("kappa", "1.0"), f"[{section}] kappa")
-        lam = parse_param_spec(sec.get("lam", "1.0"), f"[{section}] lam")
-        theta = parse_param_spec(sec.get("theta", "1.0"), f"[{section}] theta")
-        default_x0 = 0.5 if kind == "wf" else 1.0
-        x0 = _get_float(sec, section, "x0", default_x0)
-        gamma = _get_float(sec, section, "gamma", 0.0) or None
-        try:
-            params = PrototypeParams(
-                kind=kind, kappa=kappa, lam=lam, theta=theta, x0=x0, gamma=gamma, horizon=horizon
-            )
-            model = make_prototype(params)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"[{section}]: {exc}")
-        return kind, model, params, horizon
-    if kind == "custom":
-        for key in ("drift", "sigma"):
-            if key not in sec:
-                raise ConfigError(f"[{section}] {key}: required for a custom model")
-            if sec[key].strip() not in BUILTIN_COEFFICIENTS:
-                known = ", ".join(sorted(BUILTIN_COEFFICIENTS))
-                raise ConfigError(
-                    f"[{section}] {key}: unknown coefficient {sec[key].strip()!r} (builtins: {known})"
-                )
-        gamma = _get_float(sec, section, "gamma", 0.5)
-        x0 = _get_float(sec, section, "x0", 1.0)
-        domain = None
-        if "domain" in sec:
-            parts = sec["domain"].split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"[{section}] domain: expected 'lo,hi'")
-            try:
-                domain = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ConfigError(f"[{section}] domain: cannot parse {sec['domain']!r}")
-        try:
-            model = SdeModel(
-                drift=BUILTIN_COEFFICIENTS[sec["drift"].strip()],
-                base_sigma=BUILTIN_COEFFICIENTS[sec["sigma"].strip()],
-                gamma=gamma,
-                x0=x0,
-                domain=domain,
-                name=f"custom-{sec['drift'].strip()}-{sec['sigma'].strip()}",
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section}]: {exc}")
-        return kind, model, None, horizon
-    raise ConfigError(f"[{section}] kind: unknown kind {kind!r} (expected {', '.join(KINDS)} or custom)")
+def _model(section: str, v: dict, horizon: float):
+    """Build (kind, SdeModel, PrototypeParams|None) from a model block's values."""
+    kind = v["kind"]
+    try:
+        if kind == "custom":
+            return kind, SdeModel(
+                drift=BUILTIN_COEFFICIENTS[v["drift"]],
+                base_sigma=BUILTIN_COEFFICIENTS[v["sigma"]],
+                gamma=v["gamma"],
+                x0=v["x0"],
+                domain=v["domain"],
+                name=f"custom-{v['drift']}-{v['sigma']}",
+            ), None
+        params = PrototypeParams(
+            kind=kind,
+            kappa=v["kappa"],
+            lam=v["lam"],
+            theta=v["theta"],
+            x0=v["x0"],
+            gamma=v["gamma"] or None,  # gamma = 0 means unset: 1/2, or an error for ckls
+            horizon=horizon,
+        )
+        return kind, make_prototype(params), params
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}]: {exc}")
 
 
 def resolve_config(raw: dict) -> RunConfig:
     """Validate the raw config and build every object the subcommands use."""
-    kind, model, prototype, horizon = _resolve_model(raw, "model")
-    hi = _resolve_model(raw, "model_hi")
-    model_hi = hi[1] if hi is not None else None
+    m = _values(raw, "model")
+    horizon = m["horizon"]
+    if horizon <= 0.0:
+        raise ConfigError("[model] horizon: must be positive")
+    kind, model, prototype = _model("model", m, horizon)
+    model_hi = _model("model_hi", _values(raw, "model_hi"), horizon)[1] if raw.get("model_hi") else None
 
-    sec = raw.get("experiment", {})
-    levels = parse_levels(sec.get("levels", "4:9"), "[experiment] levels")
+    e = _values(raw, "experiment")
+    levels = e["levels"]
     if not levels or levels[0] < 0:
         raise ConfigError("[experiment] levels: must be nonnegative and nonempty")
     if levels[-1] > MAX_LEVEL:
         raise ConfigError(f"[experiment] levels: level {levels[-1]} exceeds the memory guard {MAX_LEVEL}")
-    ref_level = _get_int(sec, "experiment", "ref_level", 13)
-    if ref_level > MAX_LEVEL:
-        raise ConfigError(f"[experiment] ref_level: {ref_level} exceeds the memory guard {MAX_LEVEL}")
-    paths = _get_int(sec, "experiment", "paths", 10000)
-    if paths < 1:
+    if e["ref_level"] > MAX_LEVEL:
+        raise ConfigError(f"[experiment] ref_level: {e['ref_level']} exceeds the memory guard {MAX_LEVEL}")
+    if e["paths"] < 1:
         raise ConfigError("[experiment] paths: must be at least 1")
-    seed = _get_int(sec, "experiment", "seed", 0)
-    on_explosion = sec.get("on_explosion", "abort").strip().lower()
-    if on_explosion not in ("abort", "drop"):
+    if e["on_explosion"] not in ("abort", "drop"):
         raise ConfigError("[experiment] on_explosion: must be 'abort' or 'drop'")
 
-    sec = raw.get("condition", {})
-    q = _get_float(sec, "condition", "q", math.nan)
-    if math.isnan(q):  # derived from s when s is given
-        q = 2.0 * (model.gamma + _get_float(sec, "condition", "s", math.nan) - 1.0)
-    q = None if math.isnan(q) else q
-    if q is not None and q > 0.0:
+    c = _values(raw, "condition")
+    s = c.pop("s")
+    if c["q"] is None and s is not None:
+        c["q"] = 2.0 * (model.gamma + s - 1.0)
+    if c["q"] is not None and c["q"] > 0.0:
         raise ConfigError("[condition] q: must be nonpositive")
-    cap = None
-    if "cap" in sec and sec["cap"].strip().lower() not in ("auto", ""):
-        cap = _get_float(sec, "condition", "cap")
-        if cap <= 0.0:
-            raise ConfigError("[condition] cap: must be positive (or 'auto')")
-    growth_factor = _get_float(sec, "condition", "growth_factor", 1.2)
-    if growth_factor <= 1.0:
+    if c["cap"] is not None and c["cap"] <= 0.0:
+        raise ConfigError("[condition] cap: must be positive (or 'auto')")
+    if c["growth_factor"] <= 1.0:
         raise ConfigError("[condition] growth_factor: must exceed 1")
-    tolerance = _get_float(sec, "condition", "tolerance", 1e-3)
-    if tolerance <= 0.0:
-        raise ConfigError("[condition] tolerance: must be positive")
-    significance = _get_float(sec, "condition", "significance", 1e-3)
-    if not 0.0 < significance < 1.0:
+    if c["tolerance"] < 0.0:
+        raise ConfigError("[condition] tolerance: must be nonnegative")
+    if not 0.0 < c["significance"] < 1.0:
         raise ConfigError("[condition] significance: must lie in (0, 1)")
 
-    sec = raw.get("output", {})
-    out = sec.get("out") or None
-    plot = sec.get("plot") or None
-
+    # the remaining keys of these three sections are RunConfig's own fields
     return RunConfig(
-        kind=kind,
-        model=model,
-        prototype=prototype,
-        model_hi=model_hi,
-        horizon=horizon,
-        levels=levels,
-        ref_level=ref_level,
-        paths=paths,
-        seed=seed,
-        on_explosion=on_explosion,
-        q=q,
-        cap=cap,
-        growth_factor=growth_factor,
-        tolerance=tolerance,
-        significance=significance,
-        out=out,
-        plot=plot,
+        kind=kind, model=model, prototype=prototype, model_hi=model_hi, horizon=horizon,
+        **e, **c, **_values(raw, "output"),
     )
 
 
 def format_resolved(raw: dict) -> str:
-    """Render the merged raw config with defaults filled in, for --dry-run."""
-    cfg = resolve_config(raw)  # validates; raises ConfigError on problems
+    """Render every key the run reads, with the text of the value it uses,
+    for --dry-run."""
+    resolve_config(raw)  # validates; raises ConfigError on problems
     lines = []
-    filled = {s: dict(kv) for s, kv in raw.items()}
-    filled.setdefault("model", {}).setdefault("kind", cfg.kind)
-    filled["model"].setdefault("horizon", repr(cfg.horizon))
-    exp = filled.setdefault("experiment", {})
-    exp.setdefault("levels", ",".join(str(l) for l in cfg.levels))
-    exp.setdefault("ref_level", str(cfg.ref_level))
-    exp.setdefault("paths", str(cfg.paths))
-    exp.setdefault("seed", str(cfg.seed))
-    exp.setdefault("on_explosion", cfg.on_explosion)
-    for section in ("model", "model_hi", "experiment", "condition", "output"):
-        if section not in filled:
+    for section in KEYS:
+        if section == "model_hi" and not raw.get(section):
             continue
         lines.append(f"[{section}]")
-        for key in sorted(filled[section]):
-            lines.append(f"{key} = {filled[section][key]}")
+        lines += [f"{key} = {text}".rstrip() for key, (text, _) in sorted(_read(raw, section).items())]
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -76,8 +76,9 @@ class CoefficientFn:
 class SdeModel:
     """Drift, base diffusion and power exponent for one scalar SDE.
 
-    domain is metadata for the boundary criteria; simulation runs on all of
-    the real line and relies on the clamps inside sigma, never on projection.
+    domain, when given, only bounds x0: no criterion reads it, and
+    simulation runs on all of the real line and relies on the clamps inside
+    sigma, never on projection.
     A plain callable (t, x) -> value given as drift or base_sigma is wrapped
     in a CoefficientFn with no time-only part.
     """

@@ -484,7 +484,7 @@ def estimate_inverse_moment(
     level.  The same lattices are re-run at the two next-coarser reference
     levels, each halved from the level above it, and the divergence flag
     fires when the three estimates grow monotonically by more than
-    growth_factor.  q = 0 simulates nothing: every estimate is the horizon.
+    growth_factor.
 
     Memory: besides its lattice chunk and each level's kept nodes in turn,
     a task holds one path-major chunk of integrand values, filled
@@ -505,20 +505,6 @@ def estimate_inverse_moment(
     ref_levels = (ref_level - 2, ref_level - 1, ref_level)
 
     caps = [1.0 / (horizon / (1 << level)) if cap is None else float(cap) for level in ref_levels]
-
-    if q == 0.0:
-        # integrand identically one: the integral is the horizon, exactly
-        return MomentEstimate(
-            q=0.0,
-            ref_levels=ref_levels,
-            estimates=np.full(3, float(horizon)),
-            stderrs=np.zeros(3),
-            cap_hits=(0, 0, 0),
-            caps=tuple(caps),
-            growth_factor=growth_factor,
-            divergence_flag=False,
-            dropped=0,
-        )
 
     grids = [EulerGrid(model, horizon, 1 << level) for level in ref_levels]
 

@@ -339,6 +339,41 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "ref_level" in err
 
+    @pytest.mark.parametrize("flag,key", [("--paths", "paths"), ("--seed", "seed"), ("--ref-level", "ref_level")])
+    def test_malformed_override_flag_exits_3(self, capsys, flag, key):
+        # parsed by the same code as the INI key, so the same exit code
+        assert run(["predict", flag, "abc"]) == 3
+        assert f"[experiment] {key}: cannot parse 'abc' as an integer" in capsys.readouterr().err
+
+    def test_malformed_workers_flag_exits_3(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, SMALL)
+        assert run(["converge", "--config", cfg, "--workers", "x"]) == 3
+        assert "--workers: cannot parse 'x' as an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ini,where",
+        [
+            ("[model]\nkind = custom\ndrift = zero\nsigma = one\nkappa = 2\n", "[model] kappa"),
+            ("[model]\nkind = cir\ndomain = 0,1\n", "[model] domain"),
+            ("[model_hi]\nhorizon = 50\n", "[model_hi] horizon"),
+        ],
+        ids=["custom-kappa", "cir-domain", "model_hi-horizon"],
+    )
+    def test_a_key_its_section_does_not_read_exits_3(self, tmp_path, capsys, ini, where):
+        cfg = write_ini(tmp_path, ini)
+        assert run(["predict", "--config", cfg]) == 3
+        assert f"config error: {where}: unknown key" in capsys.readouterr().err
+
+    def test_dry_run_prints_every_value_the_run_uses(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[model]\nkind = wf\n")
+        assert run(["converge", "--config", cfg, "--dry-run"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "x0 = 0.5" in lines
+        condition = lines[lines.index("[condition]") + 1 : lines.index("[output]") - 1]
+        assert condition == [
+            "cap = auto", "growth_factor = 1.2", "q =", "s =", "significance = 0.001", "tolerance = 0.001"
+        ]
+
     @pytest.mark.parametrize("module", ["powersde", "powersde.cli"])
     def test_module_entry_points_list_the_subcommands(self, module):
         src = str(Path(cli.__file__).resolve().parents[1])

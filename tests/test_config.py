@@ -164,6 +164,25 @@ seed = 9
         with pytest.raises(ConfigError, match="q"):
             resolve_config({"condition": {"q": "0.5"}})
 
+    def test_zero_tolerance_is_accepted(self):
+        # comparison_check takes 0 too: every negative gap is a violation
+        assert resolve_config({"condition": {"tolerance": "0"}}).tolerance == 0.0
+        with pytest.raises(ConfigError, match=r"\[condition\] tolerance: must be nonnegative"):
+            resolve_config({"condition": {"tolerance": "-1e-9"}})
+
+    @pytest.mark.parametrize(
+        "section,given,key",
+        [
+            ("model", {"kind": "custom", "drift": "zero", "sigma": "one", "theta": "2"}, "theta"),
+            ("model", {"kind": "wf", "drift": "zero"}, "drift"),
+            ("model_hi", {"kind": "ckls", "gamma": "0.75", "horizon": "2"}, "horizon"),
+        ],
+        ids=["custom-theta", "wf-drift", "model_hi-horizon"],
+    )
+    def test_a_key_the_model_kind_does_not_read_is_rejected(self, section, given, key):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: unknown key \(a {given['kind']} model"):
+            resolve_config({section: given})
+
     def test_cap_auto_and_numeric(self):
         assert resolve_config({"condition": {"cap": "auto"}}).cap is None
         assert resolve_config({"condition": {"cap": "100"}}).cap == 100.0

@@ -218,6 +218,15 @@ class TestInverseMoment:
         assert est.cap_hits == (0, 0, 0)
         assert not est.divergence_flag
 
+    def test_q_zero_runs_the_integrand_like_any_q(self, cir_model):
+        """q = 0 once returned the horizon without simulating: it took any
+        path count and ignored a cap below 1."""
+        with pytest.raises(ValueError, match="^paths "):
+            estimate_inverse_moment(cir_model, 0.0, 1.0, 6, 0, 1)
+        est = estimate_inverse_moment(cir_model, 0.0, 1.0, 6, 16, 0, cap=0.5, workers=1)
+        assert list(est.estimates) == [0.5, 0.5, 0.5]
+        assert est.cap_hits == (16 * 16, 16 * 32, 16 * 64)
+
     def test_rows_cover_three_reference_levels(self, cir_model):
         est = estimate_inverse_moment(cir_model, -0.5, 1.0, 9, 64, 2)
         assert est.ref_levels == (7, 8, 9)
