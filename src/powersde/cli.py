@@ -77,10 +77,11 @@ def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> Non
 
 
 def _resolve_workers(flag: Optional[str]) -> Optional[int]:
-    if flag is not None:
-        return parse_number(flag, "--workers", integer=True)
-    env = os.environ.get("HE_WORKERS")
-    return parse_number(env, "HE_WORKERS", integer=True) if env else None
+    where, text = ("--workers", flag) if flag is not None else ("HE_WORKERS", os.environ.get("HE_WORKERS") or None)
+    workers = None if text is None else parse_number(text, where, integer=True)  # None: the cpu count
+    if workers is not None and workers < 1:
+        raise ConfigError(f"{where}: must be at least 1, got {workers}")
+    return workers
 
 
 def _prototype(cfg: RunConfig, command: str):
@@ -112,7 +113,7 @@ def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
             master_seed=derive_seed(cfg.seed, "converge"),
             on_explosion=cfg.on_explosion,
         )
-    except ValueError as exc:  # the reference gap rule or the memory guard
+    except ValueError as exc:  # the reference gap rule; resolve_config applied the memory guard
         raise ConfigError(f"[experiment] {exc}")
     report = estimate_strong_error(exp, workers=workers)
 
@@ -342,12 +343,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = apply_overrides(load_config(args.config), **{key: getattr(args, key) for key in OVERRIDES})
+        workers = _resolve_workers(args.workers)
         if args.dry_run:
             sys.stdout.write(format_resolved(raw))
             return 0
         cfg = resolve_config(raw)
         # looked up at call time, so a wrapped entry of _COMMANDS is the one called
-        return _COMMANDS[args.command](cfg, _resolve_workers(args.workers))
+        return _COMMANDS[args.command](cfg, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

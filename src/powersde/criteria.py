@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .models import KINDS, PrototypeParams, SdeModel, CoefficientFn, _theta_positive
+from .models import KINDS, PrototypeParams, SdeModel, CoefficientFn, _theta_positive, clamped_power
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
 
@@ -202,7 +202,7 @@ class AutonomousModel:
             raise ValueError(f"x0={self.x0} outside domain ({lo}, {hi})")
 
     def c_squared(self, x):
-        return np.maximum(self.sigma(x), 0.0) ** (2.0 * self.gamma)
+        return clamped_power(self.sigma(x), 2.0 * self.gamma)
 
 
 def autonomous_from_prototype(params: PrototypeParams) -> AutonomousModel:

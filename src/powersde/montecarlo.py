@@ -24,6 +24,10 @@ path) and the engine the rest.  It raises the error with the smallest key,
 which is the one a single task over all paths would raise, so the reported
 (t, x) does not depend on the worker count or the task width either.
 
+Every estimator first calls _check_run, the engine's one check of paths,
+workers and on_explosion; each grid refuses a bad level or horizon before it
+builds a table, and each estimator checks only its own arguments.
+
 Explosion policy
 ----------------
 A path that goes non-finite at any of the grids an estimator runs is left
@@ -49,8 +53,8 @@ from scipy.special import ndtri
 from .brownian import PathStreams, coarsen_increments, derive_seed, reserve_generators, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
-from .models import PrototypeParams, SdeModel, _check_horizon, make_prototype
-from .schemes import MAX_LEVEL, EulerGrid, EulerSweep, euler_batch
+from .models import PrototypeParams, SdeModel, make_prototype
+from .schemes import EulerGrid, EulerSweep, euler_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -131,7 +135,7 @@ def _walk(streams: PathStreams, sweeps: list, width: int):
     increments halved down to its own level.  A bad coefficient's (step,
     path) is widened to (chunk, i, step, path).
     """
-    levels = [sweep.grid.n_steps.bit_length() - 1 for sweep in sweeps]
+    levels = [sweep.grid.level for sweep in sweeps]
     chunk = min(streams.n_steps, max(CHUNK_STEPS, 1 << (levels[0] - min(levels))))
     buf = np.empty((chunk, width))[:, : len(streams.generators)]
     for c in range(streams.n_steps // chunk):
@@ -146,38 +150,43 @@ def _walk(streams: PathStreams, sweeps: list, width: int):
                 raise
 
 
-def _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
+def _check_run(paths, workers, on_explosion):
+    """Refuse a bad paths, workers or on_explosion, before any grid is built."""
+    if paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if on_explosion not in ("abort", "drop"):
+        raise ValueError(f"on_explosion must be 'abort' or 'drop', got {on_explosion!r}")
+
+
+def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
     """Simulate runs of fixed path blocks and merge their block partials in
     block order.
 
     plan lists (grid, keep_stride) pairs, finest first: each task walks its
-    paths' lattice under seed through one EulerSweep per pair (see _walk).
-    simulate(walk, n_paths, width) consumes the walk and returns its per-path
-    results; width is the widest run's path count.  A path is dropped if it
-    went non-finite in any sweep.  reduce_block(results, rows) reduces the
-    surviving paths of one block, rows being their indices into the run in
-    path order, to a tuple of sums, inside the worker and exactly as a run
-    of that block alone would.  Partials are folded left to right in
-    block-index order with merge (slotwise addition by default).  Returns
-    (total, dropped).  Of the bad coefficients the tasks meet, the one first
-    in order (path being the global index) is raised.
+    paths' lattice, at the first grid's level and horizon, under seed through
+    one EulerSweep per pair (see _walk).  simulate(walk, n_paths, width)
+    consumes the walk and returns its per-path results; width is the widest
+    run's path count.  A path is dropped if it went non-finite in any sweep.
+    reduce_block(results, rows) reduces the surviving paths of one block,
+    rows being their indices into the run in path order, to a tuple of sums,
+    inside the worker and exactly as a run of that block alone would.
+    Partials are folded left to right in block-index order with merge
+    (slotwise addition by default).  Returns (total, dropped).  Of the bad
+    coefficients the tasks meet, the one first in order (path being the
+    global index) is raised.
     """
-    if paths < 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
-    if on_explosion not in ("abort", "drop"):
-        raise ValueError("on_explosion must be 'abort' or 'drop'")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
     n_blocks = -(-paths // BLOCK_PATHS)
     cuts = [min(cut * BLOCK_PATHS, paths) for cut in _task_runs(n_blocks, workers)]
     width = max(b - a for a, b in zip(cuts, cuts[1:]))
-    level = plan[0][0].n_steps.bit_length() - 1
+    lattice = plan[0][0]
 
     def task(i):
         p0 = cuts[i]
         n = cuts[i + 1] - p0
-        streams = PathStreams(seed, p0, n, level, horizon)
+        streams = PathStreams(seed, p0, n, lattice.level, lattice.horizon)
         sweeps = [EulerSweep(grid, n, keep_stride) for grid, keep_stride in plan]
         try:
             results = simulate(_walk(streams, sweeps, width), n, width)
@@ -219,7 +228,8 @@ class ExperimentConfig:
 
     The reference level must sit at least REF_GAP levels above the finest
     studied level so the reference's own bias is a small fraction of the
-    errors being measured.
+    errors being measured.  The other fields are checked when
+    estimate_strong_error runs it.
     """
 
     model: SdeModel
@@ -235,20 +245,11 @@ class ExperimentConfig:
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("at least one level is required")
-        if levels[0] < 0:
-            raise ValueError("levels must be nonnegative")
         if self.ref_level < max(levels) + REF_GAP:
             raise ValueError(
                 f"ref_level: the reference gap rule requires ref_level >= "
                 f"max(levels) + {REF_GAP} = {max(levels) + REF_GAP}, got {self.ref_level}"
             )
-        if self.ref_level > MAX_LEVEL:
-            raise ValueError(f"ref_level {self.ref_level} exceeds the memory guard {MAX_LEVEL}")
-        if self.paths < 1:
-            raise ValueError("paths must be at least 1")
-        _check_horizon(self.horizon)
-        if self.on_explosion not in ("abort", "drop"):
-            raise ValueError("on_explosion must be 'abort' or 'drop'")
 
 
 @dataclass(frozen=True)
@@ -316,13 +317,12 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     only the current chunk and rung are held, plus each level's per-node
     errors.  The reference keeps only its values on the finest studied grid.
     """
-    model = config.model
-    T = config.horizon
+    _check_run(config.paths, workers, config.on_explosion)
     levels = config.levels
     lmax = max(levels)
     # the reference, kept on the finest studied grid, then finest first
-    plan = [(EulerGrid(model, T, 1 << config.ref_level), 1 << (config.ref_level - lmax))]
-    plan += [(EulerGrid(model, T, 1 << level), 1) for level in reversed(levels)]
+    plan = [(EulerGrid(config.model, config.horizon, config.ref_level), 1 << (config.ref_level - lmax))]
+    plan += [(EulerGrid(config.model, config.horizon, level), 1) for level in reversed(levels)]
 
     def simulate(walk, b, width):
         # |reference - scheme| at every node of each level, path-major so a
@@ -346,7 +346,7 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
         return tuple(sums)
 
     sums, dropped = _map_paths(
-        config.master_seed, T, plan, simulate, reduce_block, config.paths, workers, config.on_explosion
+        config.master_seed, plan, simulate, reduce_block, config.paths, workers, config.on_explosion
     )
     m_eff = config.paths - dropped
 
@@ -491,7 +491,7 @@ def estimate_inverse_moment(
     SLAB_STEPS steps at a time, and per path and level the chunk sums,
     merged as they arrive: at most 1 + log2(chunks) of them.
     """
-    _check_horizon(horizon)
+    _check_run(paths, workers, on_explosion)
     if not q <= 0.0:
         raise ValueError(f"q must be nonpositive, got {q}")
     if cap is not None and not cap > 0.0:
@@ -500,13 +500,11 @@ def estimate_inverse_moment(
         raise ValueError(f"growth_factor must exceed 1, got {growth_factor}")
     if ref_level < 2:
         raise ValueError("ref_level must be at least 2 for the refinement diagnostic")
-    if ref_level > MAX_LEVEL:
-        raise ValueError(f"ref_level {ref_level} exceeds the memory guard {MAX_LEVEL}")
     ref_levels = (ref_level - 2, ref_level - 1, ref_level)
-
-    caps = [1.0 / (horizon / (1 << level)) if cap is None else float(cap) for level in ref_levels]
-
-    grids = [EulerGrid(model, horizon, 1 << level) for level in ref_levels]
+    # finest first, so a level past the memory guard is refused before any table
+    plan = [(EulerGrid(model, horizon, level), 1) for level in reversed(ref_levels)]
+    grids = [grid for grid, _ in reversed(plan)]
+    caps = [1.0 / grid.dt if cap is None else float(cap) for grid in grids]
 
     def simulate(walk, b, width):
         # the node before each sweep's next chunk: x_{k0}, the first left end
@@ -537,9 +535,7 @@ def estimate_inverse_moment(
             sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[rows].sum())]
         return tuple(sums)
 
-    # finest first, each level halved from the one above it
-    plan = [(grid, 1) for grid in reversed(grids)]
-    sums, dropped = _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion)
+    sums, dropped = _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion)
     m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
@@ -620,11 +616,11 @@ def comparison_check(
     statistical: the fraction of paths whose minimum gap dips below
     -tolerance should be small and should shrink as the level grows.
     """
-    _check_horizon(horizon)
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    _check_run(paths, workers, on_explosion)
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    # before the probes, so the grid names a bad horizon or level first
+    plan = [(EulerGrid(model, horizon, level), 1) for model in (model_lo, model_hi)]
     if model_lo.x0 > model_hi.x0:
         raise HypothesisError("model_lo must start at or below model_hi")
     if model_lo.gamma != model_hi.gamma:
@@ -639,8 +635,6 @@ def comparison_check(
     ahi = np.asarray(model_hi.drift(t, x), dtype=float)
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
-
-    plan = [(EulerGrid(model, horizon, 1 << level), 1) for model in (model_lo, model_hi)]
 
     def simulate(walk, b, width):
         # each path's smallest gap over all nodes, node 0 included; min is
@@ -664,7 +658,7 @@ def comparison_check(
         return a[0] + b[0], max(a[1], b[1])
 
     (n_violating, max_violation), dropped = _map_paths(
-        seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion, merge
+        seed, plan, simulate, reduce_block, paths, workers, on_explosion, merge
     )
     return ComparisonReport(
         level=level,
@@ -703,7 +697,7 @@ class TimeChangeReport:
 
 
 def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion):
-    plan = [(EulerGrid(model, horizon, 1 << level), 1 << level)]
+    plan = [(EulerGrid(model, horizon, level), 1 << level)]
 
     def simulate(walk, b, width):
         for _, _, kept in walk:  # only the last chunk keeps a node
@@ -714,7 +708,7 @@ def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion)
         good = end[rows]
         return (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
 
-    (s1, s2, s3, s4), dropped = _map_paths(seed, horizon, plan, simulate, reduce_block, paths, workers, on_explosion)
+    (s1, s2, s3, s4), dropped = _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion)
     m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2
@@ -740,8 +734,7 @@ def timechange_check(
     two samples are independent and plain two-sample z-tests apply.  dropped
     counts the paths of both samples that went non-finite.
     """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    _check_run(paths, workers, on_explosion)
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
     model = make_prototype(params)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidCoefficientError
-from .models import SdeModel, clamped_power
+from .models import SdeModel, _check_horizon, clamped_power
 
 __all__ = ["EulerGrid", "EulerSweep", "euler_batch"]
 
@@ -39,7 +39,9 @@ MAX_LEVEL = 26
 
 
 class EulerGrid:
-    """A model on the n_steps-step equidistant grid of [0, horizon].
+    """A model on the 2^level-step equidistant grid of [0, horizon]; a level
+    outside [0, MAX_LEVEL] or a horizon that is not finite and positive is
+    refused before any table is built.
 
     drift and sigma hold the coefficients' time-only parts at the left end
     t_k = k * dt of every step, one row per step, so building a grid is
@@ -47,15 +49,16 @@ class EulerGrid:
     node, in the process that builds it.
     """
 
-    def __init__(self, model: SdeModel, horizon: float, n_steps: int):
-        if n_steps < 1:
-            raise ValueError("a grid needs at least one step")
-        if n_steps > 1 << MAX_LEVEL:
-            raise ValueError(f"{n_steps} steps exceed the memory guard 2^{MAX_LEVEL}")
+    def __init__(self, model: SdeModel, horizon: float, level: int):
+        if not 0 <= level <= MAX_LEVEL:
+            raise ValueError(f"level must lie in [0, {MAX_LEVEL}] (the memory guard), got {level}")
+        _check_horizon(horizon)
         self.model = model
-        self.n_steps = n_steps
-        self.dt = horizon / n_steps
-        times = np.arange(n_steps) * self.dt
+        self.horizon = horizon
+        self.level = level
+        self.n_steps = 1 << level
+        self.dt = horizon / self.n_steps
+        times = np.arange(self.n_steps) * self.dt
         self.drift = model.drift.tabulate(times)
         self.sigma = model.base_sigma.tabulate(times)
 

@@ -14,7 +14,9 @@ def euler_run(model, increments, horizon, keep_stride=1, chunk=None):
     """
     increments = np.asarray(increments, dtype=float)
     n_steps, n_paths = increments.shape
-    sweep = EulerSweep(EulerGrid(model, horizon, n_steps), n_paths, keep_stride)
+    level = n_steps.bit_length() - 1
+    assert n_steps == 1 << level, "the kernel runs on dyadic grids"
+    sweep = EulerSweep(EulerGrid(model, horizon, level), n_paths, keep_stride)
     chunk = chunk or n_steps
     rows = [np.full((1, n_paths), float(model.x0))]
     for k in range(0, n_steps, chunk):

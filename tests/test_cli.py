@@ -350,6 +350,19 @@ class TestPlumbing:
         assert run(["converge", "--config", cfg, "--workers", "x"]) == 3
         assert "--workers: cannot parse 'x' as an integer" in capsys.readouterr().err
 
+    def test_malformed_workers_flag_exits_3_under_dry_run(self, capsys):
+        assert run(["predict", "--dry-run", "--workers", "x"]) == 3
+        assert "--workers: cannot parse 'x' as an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env, where", [("0", None, "--workers"), (None, "-3", "HE_WORKERS")])
+    def test_a_worker_count_below_one_exits_3(self, tmp_path, monkeypatch, capsys, flag, env, where):
+        cfg = write_ini(tmp_path, SMALL)
+        if env is not None:
+            monkeypatch.setenv("HE_WORKERS", env)
+        argv = ["compare", "--config", cfg, "--out", str(tmp_path / "c.csv")]
+        assert run(argv + (["--workers", flag] if flag is not None else [])) == 3
+        assert f"{where}: must be at least 1, got {flag or env}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "ini,where",
         [

@@ -289,7 +289,7 @@ class TestTimeChange:
         tc = build_timechange(theta, 1.0)
         ys = hashlib.sha256(tc.table.ys.tobytes()).hexdigest()
         assert ys == "3a987830f3b31209edacac73a1829729f36cdcc46d4639f92167fdf94b4ff446"
-        grid = EulerGrid(time_changed_model(cir(theta=theta), tc), tc.horizon_image, 1 << 10)
+        grid = EulerGrid(time_changed_model(cir(theta=theta), tc), tc.horizon_image, 10)
         drift = hashlib.sha256(np.ascontiguousarray(grid.drift).tobytes()).hexdigest()
         assert drift == "0429b0f78ce339678af2bc79a599b778e91365f26c24bd12db5fcf1be930d6e0"
         pinned = {

@@ -58,10 +58,10 @@ class TestExperimentConfig:
         assert cfg.levels == (4, 5, 6)
 
     def test_memory_guard(self, cir_model):
+        # the reference grid applies it, when the estimator builds its plan
+        cfg = ExperimentConfig(model=cir_model, horizon=1.0, levels=(4,), ref_level=27, paths=10, master_seed=0)
         with pytest.raises(ValueError, match="memory guard"):
-            ExperimentConfig(
-                model=cir_model, horizon=1.0, levels=(4,), ref_level=27, paths=10, master_seed=0
-            )
+            estimate_strong_error(cfg, workers=1)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -72,8 +72,9 @@ class TestExperimentConfig:
             model=cir_model, horizon=1.0, levels=(4,), ref_level=10, paths=10, master_seed=0
         )
         kw[field] = value
-        with pytest.raises(ValueError):
-            ExperimentConfig(**kw)
+        # the estimator checks them (the engine or the grid), not the config
+        with pytest.raises(ValueError, match=f"^{field} "):
+            estimate_strong_error(ExperimentConfig(**kw), workers=1)
 
 
 class TestStrongError:
@@ -342,7 +343,7 @@ def test_the_walk_runs_every_chunk_through_the_sweeps_in_plan_order(monkeypatch,
     monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 16)
     level, n_paths, seed = 7, 5, 3
     halvings = (0, 0, 2)
-    sweeps = [EulerSweep(EulerGrid(cir_model, 1.0, 1 << (level - h)), n_paths) for h in halvings]
+    sweeps = [EulerSweep(EulerGrid(cir_model, 1.0, level - h), n_paths) for h in halvings]
     # a buffer wider than the task, as for the narrower tasks of a call
     walk = montecarlo._walk(PathStreams(seed, 0, n_paths, level, 1.0), sweeps, width=8)
     visits, nodes = [], [[] for _ in sweeps]
@@ -434,7 +435,11 @@ BAD_ARGUMENTS = [
     ("comparison", "level", -1),
     ("comparison", "tolerance", -1.0),
     ("timechange", "level", -1),
-]
+    ("strong_error", "paths", 0),
+    ("strong_error", "on_explosion", "ignore"),
+    ("strong_error", "ref_level", 27),
+    ("inverse_moment", "ref_level", 27),
+] + [(name, "workers", workers) for name in ESTIMATORS for workers in (0, -3)]
 
 
 @pytest.mark.parametrize("name, arg, value", BAD_ARGUMENTS)
@@ -443,18 +448,41 @@ def test_a_bad_argument_is_named_before_any_pool_starts(monkeypatch, cir_model, 
         raise AssertionError("tasks were dispatched on a bad argument")
 
     monkeypatch.setattr(montecarlo, "_run_batches", dispatch_nothing)
+    # the grid owns the level range and calls every level it refuses "level"
+    named = "level" if arg == "ref_level" else arg
+    with pytest.raises(ValueError, match=rf"^{named} "):
+        _run_small(name, cir_model, cir_params, **{arg: value})
+
+
+def _run_small(name, model, params, workers=1, **kwargs):
+    """One estimator on a small run, kwargs overriding its arguments (for
+    estimate_strong_error, the ExperimentConfig fields)."""
+    if name == "strong_error":
+        return estimate_strong_error(small_config(model, **{"paths": 16, **kwargs}), workers=workers)
     if name == "inverse_moment":
         run = estimate_inverse_moment
-        kwargs = dict(model=cir_model, q=-1.0, horizon=1.0, ref_level=4, paths=16, seed=5)
+        args = dict(model=model, q=-1.0, horizon=1.0, ref_level=4, paths=16, seed=5)
     elif name == "comparison":
         run = comparison_check
-        kwargs = dict(model_lo=cir_model, model_hi=cir_model, horizon=1.0, level=4, paths=16, seed=3)
+        args = dict(model_lo=model, model_hi=model, horizon=1.0, level=4, paths=16, seed=3)
     else:
         run = timechange_check
-        kwargs = dict(params=cir_params, level=4, paths=16, seed=9)
-    kwargs[arg] = value
-    with pytest.raises(ValueError, match=rf"^{arg} "):
-        run(workers=1, **kwargs)
+        args = dict(params=params, level=4, paths=16, seed=9)
+    return run(workers=workers, **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_a_bad_path_count_is_named_before_any_grid_is_tabulated(monkeypatch, cir_model, cir_params, name):
+    """paths=0 on a level-20 run costs no table: the engine's check runs
+    before the estimator builds its plan."""
+
+    def tabulate_nothing(self, times):
+        raise AssertionError("a grid was tabulated for a run with no paths")
+
+    monkeypatch.setattr(CoefficientFn, "tabulate", tabulate_nothing)
+    level = {"ref_level": 20} if name in ("strong_error", "inverse_moment") else {"level": 20}
+    with pytest.raises(ValueError, match="^paths "):
+        _run_small(name, cir_model, cir_params, paths=0, **level)
 
 
 def test_estimator_outputs_are_pinned(cir_model):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,10 +68,24 @@ def test_keep_stride_matches_full_run():
     np.testing.assert_array_equal(strided[0], full[0, ::4])
 
 
-def test_grid_memory_guard(cir_model):
-    # refused before any table is built
-    with pytest.raises(ValueError, match="memory guard"):
-        EulerGrid(cir_model, 1.0, (1 << MAX_LEVEL) + 1)
+@pytest.mark.parametrize(
+    "level, horizon, named",
+    [
+        (-1, 1.0, "level"),
+        (MAX_LEVEL + 1, 1.0, "level"),
+        (4, math.nan, "horizon"),
+        (4, math.inf, "horizon"),
+        (4, 0.0, "horizon"),
+        (4, -1.0, "horizon"),
+    ],
+)
+def test_grid_memory_guard(monkeypatch, cir_model, level, horizon, named):
+    def tabulate_nothing(self, times):
+        raise AssertionError("a table was built for a bad grid")
+
+    monkeypatch.setattr(CoefficientFn, "tabulate", tabulate_nothing)
+    with pytest.raises(ValueError, match=f"^{named} "):
+        EulerGrid(cir_model, horizon, level)
 
 
 def test_keep_stride_must_divide_steps():
