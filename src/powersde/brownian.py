@@ -106,8 +106,9 @@ _SPARE: list[Philox] = []
 
 
 def reserve_generators(n: int) -> None:
-    """Grow the spare generators to n, so that processes forked afterwards
-    inherit them and only re-key."""
+    """Grow this process's spare generators to n.  PathStreams takes its
+    generators from them, so a process that runs many calls, a pool worker
+    say, builds each generator once and afterwards only re-keys it."""
     _SPARE.extend(Philox(0) for _ in range(n - len(_SPARE)))
 
 

@@ -56,19 +56,31 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # builtin coefficient registry for custom models
 
-def _const_fn(v):
-    def fn(t, x):
-        return np.broadcast_to(np.float64(v), np.broadcast_shapes(np.shape(t), np.shape(x))).copy() \
-            if (np.ndim(t) or np.ndim(x)) else float(v)
-    return fn
+# module-level functions, bound by partial, so a custom model pickles
+
+def _const(v, t, x):
+    return np.broadcast_to(np.float64(v), np.broadcast_shapes(np.shape(t), np.shape(x))).copy() \
+        if (np.ndim(t) or np.ndim(x)) else float(v)
+
+
+def _identity(t, x):
+    return x + 0.0 * np.asarray(t)
+
+
+def _neg_x(t, x):
+    return -x + 0.0 * np.asarray(t)
+
+
+def _x_plus(t, x):
+    return np.maximum(x, 0.0) + 0.0 * np.asarray(t)
 
 
 BUILTIN_COEFFICIENTS = {
-    "zero": CoefficientFn(_const_fn(0.0)),
-    "one": CoefficientFn(_const_fn(1.0)),
-    "identity": CoefficientFn(lambda t, x: x + 0.0 * np.asarray(t)),
-    "neg_x": CoefficientFn(lambda t, x: -x + 0.0 * np.asarray(t)),
-    "x_plus": CoefficientFn(lambda t, x: np.maximum(x, 0.0) + 0.0 * np.asarray(t)),
+    "zero": CoefficientFn(partial(_const, 0.0)),
+    "one": CoefficientFn(partial(_const, 1.0)),
+    "identity": CoefficientFn(_identity),
+    "neg_x": CoefficientFn(_neg_x),
+    "x_plus": CoefficientFn(_x_plus),
 }
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -577,16 +578,17 @@ class TimeChange:
         return self.table.inverse(tau, tol=1e-10 * self.horizon)
 
 
+def _squared(f, s):
+    v = f(s)
+    return v * v
+
+
 def build_timechange(theta, horizon: float) -> TimeChange:
     """Tabulate the clock change for a strictly positive theta."""
     theta = as_param(theta)
     _theta_positive(theta, horizon)
 
-    def theta_sq(s):
-        v = theta(s)
-        return v * v
-
-    table = build_cumulative(theta_sq, 0.0, horizon)
+    table = build_cumulative(partial(_squared, theta), 0.0, horizon)
     return TimeChange(
         theta=theta,
         table=table,
@@ -602,28 +604,28 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
     base coefficient drops its theta factor entirely; the endpoint law of the
     result at Theta(T) must agree with the original's at T.
     """
-    kappa, lam, theta = params.kappa, params.lam, params.theta
-
+    domain, shape = KINDS[params.kind]
     # the clock inversion is time-only, so the Euler kernel runs it once per
     # grid node when it tabulates the drift, never once per step
-    def drift_time(s):
-        t = tc.A(float(s))
-        th = theta(t)
-        return kappa(t), lam(t), th * th
-
-    def drift_fn(k, l, th2, x):
-        return k * (l - x) / th2
-
-    domain, shape = KINDS[params.kind]
-
-    def sigma_fn(s, x):
-        return shape(x)
-
     return SdeModel(
-        drift=CoefficientFn(drift_fn, time=drift_time),
-        base_sigma=CoefficientFn(sigma_fn),
+        drift=CoefficientFn(_changed_drift, time=partial(_changed_drift_time, tc, params)),
+        base_sigma=CoefficientFn(partial(_shape_only, shape)),
         gamma=params.gamma,
         x0=params.x0,
         domain=domain,
         name=f"{params.kind}-timechanged",
     )
+
+
+def _changed_drift_time(tc, params, s):
+    t = tc.A(float(s))
+    th = params.theta(t)
+    return params.kappa(t), params.lam(t), th * th
+
+
+def _changed_drift(k, l, th2, x):
+    return k * (l - x) / th2
+
+
+def _shape_only(shape, s, x):
+    return shape(x)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -201,26 +202,29 @@ def make_prototype(params: PrototypeParams) -> SdeModel:
     bounded away from zero so the reparametrization stays 1/2-Hoelder.
     """
     domain, shape = KINDS[params.kind]
-    kappa, lam, theta = params.kappa, params.lam, params.theta
-    _theta_positive(theta, params.horizon)
-
-    def drift_time(t):
-        return kappa(t), lam(t)
-
-    def drift_fn(k, l, x):
-        return k * (l - x)
-
-    def sigma_time(t):
-        return (params.scale(theta(t)),)
-
-    def sigma_fn(scale, x):
-        return scale * shape(x)
-
+    _theta_positive(params.theta, params.horizon)
+    # module-level functions bound by partial, so a model pickles
     return SdeModel(
-        drift=CoefficientFn(drift_fn, time=drift_time),
-        base_sigma=CoefficientFn(sigma_fn, time=sigma_time),
+        drift=CoefficientFn(_mean_reverting, time=partial(_drift_time, params.kappa, params.lam)),
+        base_sigma=CoefficientFn(partial(_scaled_shape, shape), time=partial(_sigma_time, params)),
         gamma=params.gamma,
         x0=float(params.x0),
         domain=domain,
         name=params.kind,
     )
+
+
+def _drift_time(kappa, lam, t):
+    return kappa(t), lam(t)
+
+
+def _mean_reverting(k, l, x):
+    return k * (l - x)
+
+
+def _sigma_time(params, t):
+    return (params.scale(params.theta(t)),)
+
+
+def _scaled_shape(shape, scale, x):
+    return scale * shape(x)

@@ -16,17 +16,27 @@ serial fallback, and for any grouping of blocks into tasks.
 The engine walks the lattice: it keys each task's Philox streams and runs
 the plan's sweeps through each time chunk in plan order.  Each estimator
 tabulates its grids' time-only coefficient parts in the calling process
-before dispatch, and the engine grows the spare Philox generators there to
-the task width, so workers inherit the tables and the generators and only
-re-key them.  A task that meets a bad coefficient stops and hands back the
-error, keyed by (chunk, sweep index, step, path): the kernel sets (step,
-path) and the engine the rest.  It raises the error with the smallest key,
-which is the one a single task over all paths would raise, so the reported
-(t, x) does not depend on the worker count or the task width either.
+before dispatch.  A task carries every value its worker reads: the plan's
+grids with those tables, the seed, the cuts and width, the chunk size, and
+the estimator's module-level simulate/reduce pair.  A task that meets a bad
+coefficient stops and hands back the error, keyed by (chunk, sweep index,
+step, path): the kernel sets (step, path) and the engine the rest.  It
+raises the error with the smallest key, which is the one a single task over
+all paths would raise, so the reported (t, x) does not depend on the worker
+count or the task width either.
 
 Every estimator first calls _check_run, the engine's one check of paths,
 workers and on_explosion; each grid refuses a bad level or horizon before it
-builds a table, and each estimator checks only its own arguments.
+builds a table, estimate_strong_error makes that check for every level it
+plans before it builds the first grid, and each estimator checks only its
+own arguments.
+
+Worker pool
+-----------
+A process has one pool, started by the first call that needs two or more
+workers and reused by calls of the same size; its workers keep their Philox
+generators from call to call and only re-key them.  Tasks reach the workers
+through pickle; a task that does not pickle runs serially (_run_batches).
 
 Explosion policy
 ----------------
@@ -40,21 +50,24 @@ a run with no surviving path always aborts.
 
 from __future__ import annotations
 
+import atexit
 import math
 import multiprocessing
 import os
+import pickle
+import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .brownian import PathStreams, coarsen_increments, derive_seed, reserve_generators, sample_increment_batch
+from .brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
 from .errors import HypothesisError, InvalidCoefficientError, SimulationAbort
 from .models import PrototypeParams, SdeModel, make_prototype
-from .schemes import EulerGrid, EulerSweep, euler_batch
+from .schemes import EulerGrid, EulerSweep, _check_grid, euler_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -81,29 +94,75 @@ SLAB_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
-# worker pool: fork-based, scheduling-independent
+# worker pool: one per process, reused while its size holds
 
-_WORKER_TASK = None
+# fork where the platform has one, so workers start with the parent's modules
+# loaded; the platform's default start method elsewhere
+_START_METHOD = "fork" if hasattr(os, "fork") else None
+_POOL = None  # ((size, start method), pool, its worker processes), once started
 
 
-def _invoke_task(i):
-    return _WORKER_TASK(i)
+def _close_pool():
+    """Terminate the process's pool, if it has one, and wait for its workers."""
+    global _POOL
+    if _POOL is not None:
+        pool = _POOL[1]
+        _POOL = None
+        pool.terminate()
+        pool.join()
+
+
+atexit.register(_close_pool)
+
+
+def _pool(size: int):
+    """(pool, workers): the process's pool of size workers, started on first
+    use.  A pool of another size or start method, or one that lost a worker,
+    is closed before a new one starts."""
+    global _POOL
+    key = (size, _START_METHOD)
+    if _POOL is not None and (_POOL[0] != key or not all(p.is_alive() for p in _POOL[2])):
+        _close_pool()
+    if _POOL is None:
+        before = set(multiprocessing.active_children())
+        pool = multiprocessing.get_context(_START_METHOD).Pool(size)
+        _POOL = (key, pool, [p for p in multiprocessing.active_children() if p not in before])
+    return _POOL[1], _POOL[2]
+
+
+def _call_pickled(blob: bytes, i: int):
+    """Task i of the task pickled into blob, in a pool worker."""
+    return pickle.loads(blob)(i)
 
 
 def _run_batches(task, n_tasks: int, workers: int):
-    """Map task over task indices, merging nothing; order is preserved."""
+    """Map task over task indices, merging nothing; order is preserved.
+
+    With more than one worker the task goes, pickled once, to the process's
+    pool.  A task that does not pickle (a model with a lambda coefficient,
+    say) runs serially instead, with a RuntimeWarning and the same results.
+    Any exception while the pool maps, a worker that dies or a Ctrl-C say,
+    terminates the pool; a task's own result never does.
+    """
     workers = max(1, min(workers, n_tasks))
-    use_pool = workers > 1 and hasattr(os, "fork")
-    if not use_pool:
-        return [task(i) for i in range(n_tasks)]
-    global _WORKER_TASK
-    _WORKER_TASK = task
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return pool.map(_invoke_task, range(n_tasks), chunksize=1)
-    finally:
-        _WORKER_TASK = None
+    if workers > 1:
+        try:
+            blob = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            warnings.warn(f"the batch tasks do not pickle, so they run serially: {exc}", RuntimeWarning)
+        else:
+            pool, procs = _pool(workers)
+            try:
+                result = pool.starmap_async(_call_pickled, [(blob, i) for i in range(n_tasks)], chunksize=1)
+                while not result.ready():
+                    if not all(p.is_alive() for p in procs):
+                        raise RuntimeError("a pool worker died while its tasks ran")
+                    result.wait(0.25)
+                return result.get()
+            except BaseException:
+                _close_pool()
+                raise
+    return [task(i) for i in range(n_tasks)]
 
 
 def _add_partials(a, b):
@@ -123,12 +182,12 @@ def _task_runs(n_blocks: int, workers: int) -> list[int]:
     return [n_blocks * i // n_tasks for i in range(n_tasks + 1)]
 
 
-def _walk(streams: PathStreams, sweeps: list, width: int):
+def _walk(streams: PathStreams, sweeps: list, width: int, chunk_steps: int):
     """Run the sweeps through the lattice of streams a time chunk at a time;
     after sweep i, yield (i, k0, nodes): the global index of the chunk's first
     step on its grid and the kept nodes the sweep reached.
 
-    A chunk is drawn at the first sweep's level, CHUNK_STEPS steps widened to
+    A chunk is drawn at the first sweep's level, chunk_steps steps widened to
     one coarsest step and capped at the lattice, into one buffer width paths
     wide for every task of a call (buffers of different sizes could double a
     worker's resident peak).  Each later sweep runs on the previous one's
@@ -136,7 +195,7 @@ def _walk(streams: PathStreams, sweeps: list, width: int):
     path) is widened to (chunk, i, step, path).
     """
     levels = [sweep.grid.level for sweep in sweeps]
-    chunk = min(streams.n_steps, max(CHUNK_STEPS, 1 << (levels[0] - min(levels))))
+    chunk = min(streams.n_steps, max(chunk_steps, 1 << (levels[0] - min(levels))))
     buf = np.empty((chunk, width))[:, : len(streams.generators)]
     for c in range(streams.n_steps // chunk):
         inc = sample_increment_batch(streams, chunk, out=buf)
@@ -160,6 +219,28 @@ def _check_run(paths, workers, on_explosion):
         raise ValueError(f"on_explosion must be 'abort' or 'drop', got {on_explosion!r}")
 
 
+def _run_task(seed, plan, simulate, reduce_block, cuts, width, chunk_steps, i):
+    """Task i of a _map_paths call: its blocks' partials and drop counts, or
+    the InvalidCoefficientError it met.  Every value it reads is an argument,
+    so that it runs the same in any worker."""
+    p0 = cuts[i]
+    n = cuts[i + 1] - p0
+    lattice = plan[0][0]
+    streams = PathStreams(seed, p0, n, lattice.level, lattice.horizon)
+    sweeps = [EulerSweep(grid, n, keep_stride) for grid, keep_stride in plan]
+    try:
+        results = simulate(_walk(streams, sweeps, width, chunk_steps), n, width)
+    except InvalidCoefficientError as exc:
+        exc.order = (*exc.order[:3], p0 + exc.order[3])
+        return exc
+    bad = np.any([sweep.first_bad >= 0 for sweep in sweeps], axis=0)
+    blocks = []
+    for q in range(0, n, BLOCK_PATHS):
+        block = bad[q : q + BLOCK_PATHS]
+        blocks.append((reduce_block(results, q + np.flatnonzero(~block)), int(block.sum())))
+    return blocks
+
+
 def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion, merge=_add_partials):
     """Simulate runs of fixed path blocks and merge their block partials in
     block order.
@@ -172,6 +253,7 @@ def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion,
     reduce_block(results, rows) reduces the surviving paths of one block,
     rows being their indices into the run in path order, to a tuple of sums,
     inside the worker and exactly as a run of that block alone would.
+    simulate and reduce_block go to the workers pickled, with the plan.
     Partials are folded left to right in block-index order with merge
     (slotwise addition by default).  Returns (total, dropped).  Of the bad
     coefficients the tasks meet, the one first in order (path being the
@@ -181,26 +263,7 @@ def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion,
     n_blocks = -(-paths // BLOCK_PATHS)
     cuts = [min(cut * BLOCK_PATHS, paths) for cut in _task_runs(n_blocks, workers)]
     width = max(b - a for a, b in zip(cuts, cuts[1:]))
-    lattice = plan[0][0]
-
-    def task(i):
-        p0 = cuts[i]
-        n = cuts[i + 1] - p0
-        streams = PathStreams(seed, p0, n, lattice.level, lattice.horizon)
-        sweeps = [EulerSweep(grid, n, keep_stride) for grid, keep_stride in plan]
-        try:
-            results = simulate(_walk(streams, sweeps, width), n, width)
-        except InvalidCoefficientError as exc:
-            exc.order = (*exc.order[:3], p0 + exc.order[3])
-            return exc
-        bad = np.any([sweep.first_bad >= 0 for sweep in sweeps], axis=0)
-        blocks = []
-        for q in range(0, n, BLOCK_PATHS):
-            block = bad[q : q + BLOCK_PATHS]
-            blocks.append((reduce_block(results, q + np.flatnonzero(~block)), int(block.sum())))
-        return blocks
-
-    reserve_generators(width)  # forked workers inherit them and only re-key
+    task = partial(_run_task, seed, plan, simulate, reduce_block, cuts, width, CHUNK_STEPS)
     runs = _run_batches(task, len(cuts) - 1, workers)
     failures = [run for run in runs if isinstance(run, InvalidCoefficientError)]
     if failures:
@@ -215,7 +278,7 @@ def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion,
         )
     if dropped == paths:
         raise SimulationAbort("every path exploded", n_flagged=dropped)
-    return reduce(merge, (partial for partial, _ in partials)), dropped
+    return reduce(merge, (sums for sums, _ in partials)), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +369,30 @@ def _fit_order(levels, errors, stderrs):
     return -slope, slope_se, r2, excluded
 
 
+def _strong_error_simulate(levels, walk, b, width):
+    # |reference - scheme| at every node of each level, path-major so a
+    # block's path sums add row after row as a one-block run would;
+    # node 0 is x0 on both, a zero error
+    lmax = max(levels)
+    diffs = [np.zeros((b, (1 << level) + 1)) for level in levels]
+    for i, k0, nodes in walk:
+        if i == 0:
+            ref_nodes = nodes
+            continue
+        j = len(levels) - i
+        step = 1 << (lmax - levels[j])
+        diffs[j][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
+    return diffs
+
+
+def _strong_error_reduce(diffs, rows):
+    sums = []
+    for diff in diffs:
+        diff = diff[rows]
+        sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
+    return tuple(sums)
+
+
 def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = None) -> ConvergenceReport:
     """Coupled strong L1 error of the scheme at each level against the
     fine-grid reference, with a fitted convergence order.
@@ -320,33 +407,16 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
     _check_run(config.paths, workers, config.on_explosion)
     levels = config.levels
     lmax = max(levels)
+    # every level, before any grid is tabulated: a bad one may sit anywhere
+    for level in (config.ref_level, *reversed(levels)):
+        _check_grid(level, config.horizon)
     # the reference, kept on the finest studied grid, then finest first
     plan = [(EulerGrid(config.model, config.horizon, config.ref_level), 1 << (config.ref_level - lmax))]
     plan += [(EulerGrid(config.model, config.horizon, level), 1) for level in reversed(levels)]
 
-    def simulate(walk, b, width):
-        # |reference - scheme| at every node of each level, path-major so a
-        # block's path sums add row after row as a one-block run would;
-        # node 0 is x0 on both, a zero error
-        diffs = [np.zeros((b, (1 << level) + 1)) for level in levels]
-        for i, k0, nodes in walk:
-            if i == 0:
-                ref_nodes = nodes
-                continue
-            j = len(levels) - i
-            step = 1 << (lmax - levels[j])
-            diffs[j][:, k0 + 1 : k0 + 1 + len(nodes)] = np.abs(ref_nodes[step - 1 :: step] - nodes).T
-        return diffs
-
-    def reduce_block(diffs, rows):
-        sums = []
-        for diff in diffs:
-            diff = diff[rows]
-            sums += [diff.sum(axis=0), (diff * diff).sum(axis=0)]
-        return tuple(sums)
-
+    simulate = partial(_strong_error_simulate, levels)
     sums, dropped = _map_paths(
-        config.master_seed, plan, simulate, reduce_block, config.paths, workers, config.on_explosion
+        config.master_seed, plan, simulate, _strong_error_reduce, config.paths, workers, config.on_explosion
     )
     m_eff = config.paths - dropped
 
@@ -422,19 +492,20 @@ def _capped_row_sums(grid, k0, last, nodes, q, cap, hits, scratch, slab):
 
     The integrand min(max(sigma, 0)^q, cap) is taken at the left end of
     each step k0 .. k0 + len(nodes) - 1: node k0 is last, the rest are the
-    chunk's nodes but its final one.  It is built SLAB_STEPS rows at a time
-    in the flat buffer slab and written transposed into the flat buffer
-    scratch, so that each path's chunk is summed along one contiguous row.
-    Values above the cap (NaN included) count in hits, per path.
+    chunk's nodes but its final one.  It is built len(slab) rows at a time
+    in the (rows, width) buffer slab, used flat, and written transposed into
+    the flat buffer scratch, so that each path's chunk is summed along one
+    contiguous row.  Values above the cap (NaN included) count in hits, per
+    path.
     """
     n, b = nodes.shape
     rows = scratch[: b * n].reshape(b, n)
-    for r0 in range(0, n, SLAB_STEPS):
-        r1 = min(r0 + SLAB_STEPS, n)
+    for r0 in range(0, n, len(slab)):
+        r1 = min(r0 + len(slab), n)
         left = nodes[r0 - 1 : r1 - 1] if r0 else np.concatenate([last, nodes[: r1 - 1]])
         # our own array, since sigma may return its x (a view of the nodes)
         # or a scalar; contiguous, so numpy runs the loops a whole chunk took
-        sig = slab[: (r1 - r0) * b].reshape(r1 - r0, b)
+        sig = slab.reshape(-1)[: (r1 - r0) * b].reshape(r1 - r0, b)
         np.maximum(_sigma_rows(grid, k0 + r0, left), 0.0, out=sig)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             sig **= q
@@ -460,6 +531,38 @@ def _merge_partial(partials: list, part: np.ndarray) -> None:
         part = partials.pop()[1] + part
         size *= 2
     partials.append((size, part))
+
+
+def _moment_simulate(x0, grids, q, caps, slab_steps, walk, b, width):
+    # grids and caps coarsest first, the walk's sweeps finest first; the
+    # node before each sweep's next chunk: x_{k0}, the first left end
+    last = [np.full((1, b), x0) for _ in grids]
+    partials = [[] for _ in grids]
+    cap_hits = [np.zeros(b, dtype=np.int64) for _ in grids]
+    scratch = None
+    for i, k0, nodes in walk:
+        if scratch is None:
+            # one finest chunk, width wide so every task asks for the same sizes
+            scratch = np.empty(width * len(nodes))
+            slab = np.empty((slab_steps, width))
+        j = len(grids) - 1 - i
+        sums = _capped_row_sums(grids[j], k0, last[j], nodes, q, caps[j], cap_hits[j], scratch, slab)
+        _merge_partial(partials[j], sums)
+        # copied, so that no view keeps this level's nodes alive
+        # through the next level's sweep
+        last[j] = nodes[-1:].copy()
+        del nodes
+    # the chunk count is a power of two, so one partial is left per level
+    per_path = [total * grid.dt for [(_, total)], grid in zip(partials, grids)]
+    return per_path, cap_hits
+
+
+def _moment_reduce(results, rows):
+    sums = []
+    for integral, hits in zip(*results):
+        kept = integral[rows]
+        sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[rows].sum())]
+    return tuple(sums)
 
 
 def estimate_inverse_moment(
@@ -506,36 +609,8 @@ def estimate_inverse_moment(
     grids = [grid for grid, _ in reversed(plan)]
     caps = [1.0 / grid.dt if cap is None else float(cap) for grid in grids]
 
-    def simulate(walk, b, width):
-        # the node before each sweep's next chunk: x_{k0}, the first left end
-        last = [np.full((1, b), float(model.x0)) for _ in ref_levels]
-        partials = [[] for _ in ref_levels]
-        cap_hits = [np.zeros(b, dtype=np.int64) for _ in ref_levels]
-        scratch = None
-        for i, k0, nodes in walk:
-            if scratch is None:
-                # one finest chunk, width wide so every task asks for the same sizes
-                scratch = np.empty(width * len(nodes))
-                slab = np.empty(width * SLAB_STEPS)
-            j = len(grids) - 1 - i
-            sums = _capped_row_sums(grids[j], k0, last[j], nodes, q, caps[j], cap_hits[j], scratch, slab)
-            _merge_partial(partials[j], sums)
-            # copied, so that no view keeps this level's nodes alive
-            # through the next level's sweep
-            last[j] = nodes[-1:].copy()
-            del nodes
-        # the chunk count is a power of two, so one partial is left per level
-        per_path = [total * grid.dt for [(_, total)], grid in zip(partials, grids)]
-        return per_path, cap_hits
-
-    def reduce_block(results, rows):
-        sums = []
-        for integral, hits in zip(*results):
-            kept = integral[rows]
-            sums += [float(kept.sum()), float((kept * kept).sum()), int(hits[rows].sum())]
-        return tuple(sums)
-
-    sums, dropped = _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion)
+    simulate = partial(_moment_simulate, float(model.x0), grids, q, caps, SLAB_STEPS)
+    sums, dropped = _map_paths(seed, plan, simulate, _moment_reduce, paths, workers, on_explosion)
     m_eff = paths - dropped
 
     estimates, stderrs, hits = [], [], []
@@ -596,6 +671,30 @@ def _sampled_close(f, g, horizon, x_range, n=1000, seed=0, tol=1e-10):
     return np.max(np.abs(fv - gv)) <= tol * max(1.0, float(np.max(np.abs(fv))))
 
 
+def _gap_simulate(gap0, walk, b, width):
+    # each path's smallest gap over all nodes, node 0 included; min is
+    # exact, so taking it chunk by chunk changes no bit
+    worst = np.full(b, gap0)
+    for i, _, nodes in walk:
+        if i == 0:
+            lo_nodes = nodes
+        else:
+            np.minimum(worst, (nodes - lo_nodes).min(axis=0), out=worst)
+        del nodes  # only lo's nodes stay alive while the walk resumes
+    return worst
+
+
+def _gap_reduce(tolerance, worst, rows):
+    kept = worst[rows]
+    violating = int((kept < -tolerance).sum())
+    max_violation = max(0.0, -float(kept.min(initial=np.inf)))
+    return violating, max_violation
+
+
+def _count_and_max(a, b):
+    return a[0] + b[0], max(a[1], b[1])
+
+
 def comparison_check(
     model_lo: SdeModel,
     model_hi: SdeModel,
@@ -636,29 +735,10 @@ def comparison_check(
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 
-    def simulate(walk, b, width):
-        # each path's smallest gap over all nodes, node 0 included; min is
-        # exact, so taking it chunk by chunk changes no bit
-        worst = np.full(b, float(model_hi.x0) - float(model_lo.x0))
-        for i, _, nodes in walk:
-            if i == 0:
-                lo_nodes = nodes
-            else:
-                np.minimum(worst, (nodes - lo_nodes).min(axis=0), out=worst)
-            del nodes  # only lo's nodes stay alive while the walk resumes
-        return worst
-
-    def reduce_block(worst, rows):
-        kept = worst[rows]
-        violating = int((kept < -tolerance).sum())
-        max_violation = max(0.0, -float(kept.min(initial=np.inf)))
-        return violating, max_violation
-
-    def merge(a, b):
-        return a[0] + b[0], max(a[1], b[1])
-
+    simulate = partial(_gap_simulate, float(model_hi.x0) - float(model_lo.x0))
+    reduce_block = partial(_gap_reduce, tolerance)
     (n_violating, max_violation), dropped = _map_paths(
-        seed, plan, simulate, reduce_block, paths, workers, on_explosion, merge
+        seed, plan, simulate, reduce_block, paths, workers, on_explosion, _count_and_max
     )
     return ComparisonReport(
         level=level,
@@ -696,19 +776,22 @@ class TimeChangeReport:
     dropped: int
 
 
+def _endpoint_simulate(walk, b, width):
+    for _, _, kept in walk:  # only the last chunk keeps a node
+        pass
+    return kept[-1]
+
+
+def _endpoint_reduce(end, rows):
+    good = end[rows]
+    return (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
+
+
 def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion):
     plan = [(EulerGrid(model, horizon, level), 1 << level)]
-
-    def simulate(walk, b, width):
-        for _, _, kept in walk:  # only the last chunk keeps a node
-            pass
-        return kept[-1]
-
-    def reduce_block(end, rows):
-        good = end[rows]
-        return (float(good.sum()), float((good**2).sum()), float((good**3).sum()), float((good**4).sum()))
-
-    (s1, s2, s3, s4), dropped = _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion)
+    (s1, s2, s3, s4), dropped = _map_paths(
+        seed, plan, _endpoint_simulate, _endpoint_reduce, paths, workers, on_explosion
+    )
     m = paths - dropped
     mean = s1 / m
     m2 = s2 / m - mean**2

@@ -4,8 +4,8 @@ The recursion, for a model dX = a dt + sigma^gamma dW on a level-l grid, is
 
     x_{k+1} = x_k + a(t_k, x_k) dt + max(sigma(t_k, x_k), 0)^gamma dW_k
 
-evaluated exactly as written, left to right, one fused numpy expression per
-step.  Every trajectory, including the reference, is one column of the
+evaluated exactly as written, left to right, into buffers allocated once per
+chunk.  Every trajectory, including the reference, is one column of the
 batched kernel euler_batch; columns never interact, so batching never
 changes results.
 
@@ -38,6 +38,15 @@ __all__ = ["EulerGrid", "EulerSweep", "euler_batch"]
 MAX_LEVEL = 26
 
 
+def _check_grid(level: int, horizon: float) -> None:
+    """The one check of a grid's level and horizon, which EulerGrid makes
+    before it builds a table; a caller planning several grids makes it for
+    each before building any."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must lie in [0, {MAX_LEVEL}] (the memory guard), got {level}")
+    _check_horizon(horizon)
+
+
 class EulerGrid:
     """A model on the 2^level-step equidistant grid of [0, horizon]; a level
     outside [0, MAX_LEVEL] or a horizon that is not finite and positive is
@@ -50,9 +59,7 @@ class EulerGrid:
     """
 
     def __init__(self, model: SdeModel, horizon: float, level: int):
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError(f"level must lie in [0, {MAX_LEVEL}] (the memory guard), got {level}")
-        _check_horizon(horizon)
+        _check_grid(level, horizon)
         self.model = model
         self.horizon = horizon
         self.level = level
@@ -91,58 +98,94 @@ def euler_batch(sweep: EulerSweep, increments: np.ndarray) -> np.ndarray:
     continues.  A non-finite sigma(t_k, x_k) on a live path is a bad
     coefficient, not an explosion, and raises InvalidCoefficientError with
     order (step, path): the global step k and the path's column.
+
+    A chunk that starts with every path alive tests finiteness once, at its
+    end.  Each step adds to x_k, so a non-finite node makes every later one
+    non-finite, and a non-finite sigma makes the clamped power, and so the
+    next node, NaN.  Only if that test fails is the chunk replayed from
+    sweep.x, testing every step, so the result is the same either way.
+    Coefficients must therefore not write into the x they are given.
+    sweep.x never shares memory with the returned rows, which the caller may
+    overwrite.
     """
     increments = np.asarray(increments, dtype=float)
-    x = sweep.x
-    if increments.ndim != 2 or increments.shape[1] != len(x):
-        raise ValueError(f"increments must have shape (steps, {len(x)}), got {increments.shape}")
-    grid = sweep.grid
+    n_paths = len(sweep.x)
+    if increments.ndim != 2 or increments.shape[1] != n_paths:
+        raise ValueError(f"increments must have shape (steps, {n_paths}), got {increments.shape}")
     k0 = sweep.step
     n = increments.shape[0]
-    if k0 + n > grid.n_steps:
-        raise ValueError(f"{n} increments run past step {grid.n_steps} from step {k0}")
+    if k0 + n > sweep.grid.n_steps:
+        raise ValueError(f"{n} increments run past step {sweep.grid.n_steps} from step {k0}")
     stride = sweep.keep_stride
-    kept = np.empty(((k0 + n) // stride - k0 // stride, len(x)))
+    kept = np.empty(((k0 + n) // stride - k0 // stride, n_paths))
+    all_alive = not (sweep.first_bad >= 0).any()
+    x = _steps(sweep, increments, kept, checked=not all_alive)
+    if all_alive and not np.isfinite(x).all():
+        x = _steps(sweep, increments, kept, checked=True)
+    sweep.x = x.copy()
+    sweep.step = k0 + n
+    return kept
+
+
+def _steps(sweep: EulerSweep, increments: np.ndarray, kept: np.ndarray, checked: bool) -> np.ndarray:
+    """Run the chunk's steps from sweep.x, filling kept; returns the last x.
+
+    Each step writes x + a dt, then c dW, then their sum into buffers of its
+    own, which is x + a * dt + c * dW evaluated left to right.  checked
+    tests every step: it raises on a bad sigma, freezes exploded paths at
+    0.0 (NaN in kept rows) and records them in sweep.first_bad.  Unchecked,
+    every path is taken to stay alive, so a kept node is written straight
+    into its row and is the next step's x.
+    """
+    grid = sweep.grid
+    k0 = sweep.step
     dt = grid.dt
     gamma = grid.model.gamma
     drift = grid.model.drift.fn
     sigma = grid.model.base_sigma.fn
+    stride = sweep.keep_stride
     # as Python floats: cheap to unpack, and the values the time parts returned
-    drift_args = grid.drift[k0 : k0 + n].tolist()
-    sigma_args = grid.sigma[k0 : k0 + n].tolist()
+    drift_args = grid.drift[k0 : k0 + len(increments)].tolist()
+    sigma_args = grid.sigma[k0 : k0 + len(increments)].tolist()
+    x = sweep.x
+    drift_term, noise_term, *states = np.empty((4, len(x)))
     first_bad = sweep.first_bad
     alive = first_bad < 0
     all_alive = bool(alive.all())
     j = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(k0, k0 + n):
-            a = drift(*drift_args[k - k0], x)
-            sig = sigma(*sigma_args[k - k0], x)
-            c = clamped_power(sig, gamma)
-            x_next = x + a * dt + c * increments[k - k0]
-            finite = np.isfinite(x_next)
-            if not finite.all():
-                bad_sig = alive & ~np.isfinite(sig)
-                if bad_sig.any():
-                    t = k * dt
-                    i = int(np.argmax(bad_sig))
-                    x_bad = float(x[i])
-                    raise InvalidCoefficientError(
-                        f"base sigma returned a non-finite value at (t={t}, x={x_bad})",
-                        t=t,
-                        x=x_bad,
-                        order=(k, i),
-                    )
-                newly = alive & ~finite
-                if newly.any():
-                    first_bad[newly] = k + 1
-                    alive &= finite
-                    all_alive = False
-                x_next = np.where(finite, x_next, 0.0)
+        for i, inc in enumerate(increments):
+            k = k0 + i
+            a = drift(*drift_args[i], x)
+            sig = sigma(*sigma_args[i], x)
+            keep = (k + 1) % stride == 0
+            x_next = kept[j] if keep and not checked else states[i & 1]
+            np.multiply(a, dt, drift_term)
+            np.add(x, drift_term, drift_term)
+            np.multiply(clamped_power(sig, gamma), inc, noise_term)
+            np.add(drift_term, noise_term, x_next)
+            if checked:
+                finite = np.isfinite(x_next)
+                if not finite.all():
+                    bad_sig = alive & ~np.isfinite(sig)
+                    if bad_sig.any():
+                        t = k * dt
+                        p = int(np.argmax(bad_sig))
+                        x_bad = float(x[p])
+                        raise InvalidCoefficientError(
+                            f"base sigma returned a non-finite value at (t={t}, x={x_bad})",
+                            t=t,
+                            x=x_bad,
+                            order=(k, p),
+                        )
+                    newly = alive & ~finite
+                    if newly.any():
+                        first_bad[newly] = k + 1
+                        alive &= finite
+                        all_alive = False
+                    x_next[~finite] = 0.0
+                if keep:
+                    kept[j] = x_next if all_alive else np.where(alive, x_next, np.nan)
             x = x_next
-            if (k + 1) % stride == 0:
-                kept[j] = x if all_alive else np.where(alive, x, np.nan)
-                j += 1
-    sweep.x = x
-    sweep.step = k0 + n
-    return kept
+            j += keep
+    return x

@@ -1,6 +1,9 @@
+import multiprocessing
+from multiprocessing import forkserver, resource_tracker
+
 import pytest
 
-from powersde import PrototypeParams, make_prototype
+from powersde import PrototypeParams, make_prototype, montecarlo
 
 
 @pytest.fixture
@@ -21,3 +24,13 @@ def wf_params():
 @pytest.fixture
 def wf_model(wf_params):
     return make_prototype(wf_params)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Close the engine's pool; then no worker may be left running.  The
+    helper processes of the forkserver and spawn start methods are stopped
+    too, instead of exiting just after this process."""
+    montecarlo._close_pool()
+    assert multiprocessing.active_children() == []
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()

@@ -5,6 +5,7 @@ files can be asserted without spawning subprocesses.  Workloads are
 kept tiny; statistical quality is covered elsewhere.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -397,6 +398,32 @@ class TestPlumbing:
         assert done.returncode == 0, done.stderr
         listed = {line.split()[0] for line in done.stdout.splitlines() if line[:4] == "    " and line[4:5].strip()}
         assert listed == set(cli._COMMANDS) and len(listed) == 7
+
+    def test_a_process_that_ran_the_cli_leaves_no_worker_behind(self, tmp_path):
+        """Two converge runs in one process share one pool of two workers,
+        and none of them outlives the process."""
+        cfg = write_ini(tmp_path, SMALL)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import multiprocessing\n"
+            "from powersde import cli\n"
+            "pids = []\n"
+            "for out in ('a.csv', 'b.csv'):\n"
+            f"    argv = ['converge', '--config', {cfg!r}, '--paths', '1200', '--out', out, '--workers', '2']\n"
+            "    assert cli.main(argv) == 0\n"
+            "    pids.append(sorted(p.pid for p in multiprocessing.active_children()))\n"
+            "print(pids)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        first, second = ast.literal_eval(done.stdout.splitlines()[-1])
+        assert len(first) == 2 and second == first
+        for pid in first:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_every_subcommand_has_help(self):
         lines = cli.build_parser().format_help().splitlines()

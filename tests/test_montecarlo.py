@@ -1,5 +1,11 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,12 +29,23 @@ from allocations import traced_peak
 from sweeps import euler_run
 
 
+# module-level coefficients, so that their models pickle and go to the pool
+
+
+def _constant(v, t, x):
+    return v + 0.0 * np.asarray(x, dtype=float)
+
+
 def _const(v):
-    return CoefficientFn(lambda t, x: v + 0.0 * np.asarray(x, dtype=float))
+    return CoefficientFn(partial(_constant, v))
+
+
+def _negative(t, x):
+    return -np.asarray(x, dtype=float)
 
 
 def _neg_x():
-    return CoefficientFn(lambda t, x: -np.asarray(x, dtype=float))
+    return CoefficientFn(_negative)
 
 
 def small_config(model, **kw):
@@ -162,14 +179,14 @@ class TestExplosionPolicy:
             _endpoint_moments(infinite_drift_model(), 1.0, 4, 16, 0, 1, "drop")
 
 
+def _nan_above(barrier, t, x):
+    return np.where(np.asarray(x, dtype=float) > barrier, np.nan, 1.0)
+
+
 def nan_above_model(barrier=1.05):
     """Driftless, sigma = 1 up to barrier and NaN above it: a bad
     coefficient that many paths meet in the first steps."""
-
-    def sigma(t, x):
-        return np.where(np.asarray(x, dtype=float) > barrier, np.nan, 1.0)
-
-    return SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=1.0)
+    return SdeModel(drift=_const(0.0), base_sigma=CoefficientFn(partial(_nan_above, barrier)), gamma=0.5, x0=1.0)
 
 
 def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
@@ -335,17 +352,16 @@ class TestWrightFisherContainment:
         assert kept.max() < 1.5
 
 
-def test_the_walk_runs_every_chunk_through_the_sweeps_in_plan_order(monkeypatch, cir_model):
+def test_the_walk_runs_every_chunk_through_the_sweeps_in_plan_order(cir_model):
     """With 16-step chunks a level-7 lattice walks in 8 chunks through two
     sweeps at level 7 and one at level 5.  Each chunk visits the sweeps in
     plan order, and each sweep's nodes, joined over the chunks, are bit-equal
     to one run on the whole lattice halved to the sweep's level."""
-    monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 16)
     level, n_paths, seed = 7, 5, 3
     halvings = (0, 0, 2)
     sweeps = [EulerSweep(EulerGrid(cir_model, 1.0, level - h), n_paths) for h in halvings]
     # a buffer wider than the task, as for the narrower tasks of a call
-    walk = montecarlo._walk(PathStreams(seed, 0, n_paths, level, 1.0), sweeps, width=8)
+    walk = montecarlo._walk(PathStreams(seed, 0, n_paths, level, 1.0), sweeps, width=8, chunk_steps=16)
     visits, nodes = [], [[] for _ in sweeps]
     for i, k0, kept in walk:
         visits.append((i, k0))
@@ -485,6 +501,22 @@ def test_a_bad_path_count_is_named_before_any_grid_is_tabulated(monkeypatch, cir
         _run_small(name, cir_model, cir_params, paths=0, **level)
 
 
+@pytest.mark.parametrize("levels, ref_level", [((-1, 14), 18), (tuple(range(4, 24)), 27)])
+def test_a_bad_level_anywhere_in_the_plan_is_named_before_any_grid_is_tabulated(
+    monkeypatch, cir_model, levels, ref_level
+):
+    """A negative studied level under a level-18 reference, and a reference
+    past the memory guard over levels up to 23, cost no table: every level
+    is checked before the first grid is built."""
+
+    def tabulate_nothing(self, times):
+        raise AssertionError("a grid was tabulated before a bad level was refused")
+
+    monkeypatch.setattr(CoefficientFn, "tabulate", tabulate_nothing)
+    with pytest.raises(ValueError, match="^level "):
+        estimate_strong_error(small_config(cir_model, levels=levels, ref_level=ref_level), workers=1)
+
+
 def test_estimator_outputs_are_pinned(cir_model):
     """Exact outputs of a small strong-error and inverse-moment run.  A change
     to sampling, coarsening, the kernel or the merge order that moves any
@@ -541,12 +573,21 @@ def test_many_chunk_inverse_moment_outputs_are_pinned(ref_level, estimates, stde
     assert est.cap_hits == cap_hits
 
 
+def _half_minus(t, x):
+    return 0.5 - x
+
+
+def _itself(t, x):
+    return x
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_inverse_moment_of_a_sigma_returning_its_x_is_pinned(workers):
     """sigma(t, x) = x hands back the very array of nodes it was given, so an
     integrand clamped, powered or capped in place would overwrite the nodes.
-    Two workers split the three blocks into tasks of unequal width."""
-    model = SdeModel(drift=CoefficientFn(lambda t, x: 0.5 - x), base_sigma=CoefficientFn(lambda t, x: x), gamma=0.5, x0=0.5)
+    Two workers split the three blocks into tasks of unequal width; the
+    coefficients are module-level functions, so the tasks go to the pool."""
+    model = SdeModel(drift=CoefficientFn(_half_minus), base_sigma=CoefficientFn(_itself), gamma=0.5, x0=0.5)
     est = estimate_inverse_moment(model, -1.0, 1.0, 8, MULTI_BLOCK_PATHS, 5, workers=workers)
     assert [float(e).hex() for e in est.estimates] == ["0x1.5b01f07bf3628p+2", "0x1.8643a95f1836fp+2", "0x1.b2f626197898cp+2"]
     assert [float(e).hex() for e in est.stderrs] == ["0x1.5dd20bf3bb6efp-3", "0x1.ccf14356429a6p-3", "0x1.239e9997633d8p-2"]
@@ -597,3 +638,94 @@ def test_inverse_moment_task_holds_a_few_chunks(cir_model):
     paths = 512
     _, peak = traced_peak(lambda: estimate_inverse_moment(cir_model, -1.0, 1.0, 10, paths, 3, workers=1))
     assert peak < 5 * paths * montecarlo.CHUNK_STEPS * 8
+
+
+# ---------------------------------------------------------------------------
+# the process's worker pool
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_reports_are_identical_under_every_start_method(monkeypatch, cir_model, cir_params, method):
+    """Two workers started by each start method give every estimator's
+    serial bytes: the tasks carry all that the workers read."""
+    monkeypatch.setattr(montecarlo, "_START_METHOD", method)
+    for name in ESTIMATORS:
+        one = _run_estimator(name, cir_model, cir_params, 1)
+        _assert_same_report(one, _run_estimator(name, cir_model, cir_params, 2))
+        assert montecarlo._POOL[0] == (2, method)
+
+
+def test_calls_in_one_process_reuse_the_pool_and_a_new_size_replaces_it(cir_model, cir_params):
+    """Two 2-worker calls run on the same workers; a 3-worker call then
+    leaves none of them alive."""
+    _run_estimator("inverse_moment", cir_model, cir_params, 2)
+    two = _worker_pids()
+    _run_estimator("comparison", cir_model, cir_params, 2)
+    assert len(two) == 2 and _worker_pids() == two
+    _run_estimator("inverse_moment", cir_model, cir_params, 3)
+    three = _worker_pids()
+    assert len(three) == 3 and not set(two) & set(three)
+    assert not any(_alive(pid) for pid in two)
+
+
+def test_a_bad_coefficient_leaves_the_pool_usable(cir_model, cir_params):
+    """A task that meets a NaN sigma hands the error back: the smallest-key
+    one is raised, and the same workers then run the next call."""
+    before = _run_estimator("inverse_moment", cir_model, cir_params, 2)
+    pids = _worker_pids()
+    with pytest.raises(InvalidCoefficientError) as exc_info:
+        estimate_inverse_moment(nan_above_model(), -1.0, 1.0, 8, 2048, 7, workers=2)
+    assert (exc_info.value.t, exc_info.value.x, exc_info.value.order) == (0.00390625, 1.071015454665311, (0, 0, 1, 0))
+    assert _worker_pids() == pids
+    _assert_same_report(before, _run_estimator("inverse_moment", cir_model, cir_params, 2))
+    assert _worker_pids() == pids
+
+
+def test_a_model_that_does_not_pickle_runs_serially_with_one_warning():
+    """Lambda coefficients cannot reach a worker: the call runs serially,
+    warns once and gives the bytes of a one-worker run."""
+    model = SdeModel(drift=CoefficientFn(lambda t, x: 1.0 - x), base_sigma=CoefficientFn(lambda t, x: x), gamma=0.5, x0=1.0)
+    one = estimate_inverse_moment(model, -1.0, 1.0, 9, MULTI_BLOCK_PATHS, 5, workers=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        two = estimate_inverse_moment(model, -1.0, 1.0, 9, MULTI_BLOCK_PATHS, 5, workers=2)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "run serially" in str(caught[0].message)
+    _assert_same_report(one, two)
+
+
+def test_a_worker_that_dies_terminates_the_pool():
+    """A worker that exits before its task is done raises instead of
+    hanging, and its pool goes with every worker; the next call starts a
+    new one.  Run in a process of its own, under a timeout."""
+    script = (
+        "import multiprocessing, os\n"
+        "from functools import partial\n"
+        "from powersde import montecarlo\n"
+        "def exit_if_a_worker(parent, i):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(1)\n"
+        "try:\n"
+        "    montecarlo._run_batches(partial(exit_if_a_worker, os.getpid()), 2, 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "print(montecarlo._POOL is None, multiprocessing.active_children())\n"
+        "print(montecarlo._run_batches(partial(pow, 2), 3, 2))\n"
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a pool worker died while its tasks ran", "True []", "[1, 2, 4]"]

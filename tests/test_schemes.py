@@ -6,7 +6,7 @@ import pytest
 from powersde.brownian import PathStreams, sample_increment_batch
 from powersde.errors import InvalidCoefficientError
 from powersde.models import CoefficientFn, SdeModel
-from powersde.schemes import MAX_LEVEL, EulerGrid
+from powersde.schemes import MAX_LEVEL, EulerGrid, EulerSweep, _steps, euler_batch
 from sweeps import euler_run
 
 
@@ -198,3 +198,83 @@ def test_bad_sigma_in_a_later_chunk_reports_its_global_time():
     assert exc_info.value.order == (20, 0)
     assert errors[0][0] == 20 / 64
     assert errors[0][1] < 0.0
+
+
+def _checked_batch(sweep, increments):
+    """One chunk through the kernel's loop with every step tested, as a
+    chunk that starts with a frozen path runs."""
+    k0, stride = sweep.step, sweep.keep_stride
+    kept = np.empty(((k0 + len(increments)) // stride - k0 // stride, len(sweep.x)))
+    sweep.x = _steps(sweep, increments, kept, checked=True)
+    sweep.step = k0 + len(increments)
+    return kept
+
+
+def _sweep_outcome(model, lattice, chunk, batch):
+    """(kept rows, first_bad, final x, raised (t, x, order) or None) of a
+    level-10 sweep advanced chunk steps at a time by batch."""
+    sweep = EulerSweep(EulerGrid(model, 1.0, 10), lattice.shape[1])
+    kept, raised = [], None
+    try:
+        for k in range(0, len(lattice), chunk):
+            kept.append(batch(sweep, lattice[k : k + chunk]))
+    except InvalidCoefficientError as exc:
+        raised = (exc.t, exc.x, exc.order)
+    return np.concatenate(kept), sweep.first_bad.copy(), sweep.x.copy(), raised
+
+
+def _assert_same_outcome(a, b):
+    for got, expected in zip(a[:3], b[:3]):
+        np.testing.assert_array_equal(got, expected)
+    assert a[3] == b[3]
+
+
+@pytest.mark.parametrize("chunk", [16, 512])
+def test_a_chunk_that_explodes_midway_replays_as_the_checked_loop(chunk):
+    """Path 3 is kicked at step 600, in the middle of a 16-step and of a
+    512-step chunk, and goes non-finite two nodes later: the chunk run
+    with one finiteness test at its end replays to the rows, first_bad and
+    final state of the loop that tests every step."""
+    cube = CoefficientFn(lambda t, x: np.asarray(x, dtype=float) ** 3)
+    m = SdeModel(drift=cube, base_sigma=_const(1.0), gamma=0.5, x0=0.0)
+    lattice = _lattice(41, 0, 5, 10, 1.0) * 0.01
+    lattice[600, 3] = 1e200
+    fast = _sweep_outcome(m, lattice, chunk, euler_batch)
+    _assert_same_outcome(fast, _sweep_outcome(m, lattice, chunk, _checked_batch))
+    assert fast[1].tolist() == [-1, -1, -1, 602, -1]
+    assert np.isnan(fast[0][601:, 3]).all() and np.isfinite(fast[0][:601, 3]).all()
+    assert np.isfinite(np.delete(fast[0], 3, axis=1)).all()
+
+
+@pytest.mark.parametrize("chunk", [16, 512])
+def test_a_sigma_that_turns_non_finite_midway_replays_as_the_checked_loop(chunk):
+    """x_k = 600.5/1024 - k/1024 on path 0 first goes negative at step 601,
+    where sigma turns NaN: the chunk replays and raises the (t, x, order)
+    that testing every step raises."""
+
+    def sigma(t, x):
+        return np.where(np.asarray(x, dtype=float) < 0.0, np.nan, 1.0)
+
+    m = SdeModel(drift=_const(-1.0), base_sigma=CoefficientFn(sigma), gamma=0.5, x0=600.5 / 1024)
+    lattice = np.zeros((1024, 3))
+    lattice[:, 1:] = _lattice(5, 0, 2, 10, 1.0)[:, :2] * 1e-3 + 1e-3
+    fast = _sweep_outcome(m, lattice, chunk, euler_batch)
+    _assert_same_outcome(fast, _sweep_outcome(m, lattice, chunk, _checked_batch))
+    t, x, order = fast[3]
+    assert (t, order) == (601 / 1024, (601, 0)) and x < 0.0
+
+
+def test_a_consumer_writing_into_the_kept_nodes_changes_no_later_chunk(cir_model):
+    """The kept rows a chunk returns are the caller's: overwriting them,
+    the last row too, leaves the sweep's state and every later chunk as
+    they were."""
+    lattice = _lattice(17, 0, 4, 10, 1.0)
+    for stride in (1, 4):
+        clean, _ = euler_run(cir_model, lattice, 1.0, keep_stride=stride, chunk=16)
+        sweep = EulerSweep(EulerGrid(cir_model, 1.0, 10), 4, stride)
+        rows = []
+        for k in range(0, 1024, 16):
+            kept = euler_batch(sweep, lattice[k : k + 16])
+            rows.append(kept.copy())
+            kept[:] = np.nan
+        np.testing.assert_array_equal(np.concatenate(rows).T, clean[:, 1:])
