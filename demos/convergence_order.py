@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from powersde import (
-    ExperimentConfig,
     PrototypeParams,
     estimate_strong_error,
     make_prototype,
@@ -28,21 +27,13 @@ from powersde import (
 params = PrototypeParams(kind="cir", kappa=1.0, lam=1.0, theta=1.0, x0=1.0)
 model = make_prototype(params)
 
-config = ExperimentConfig(
-    model=model,
-    horizon=1.0,
-    levels=tuple(range(4, 9)),
-    ref_level=12,
-    paths=2000,
-    master_seed=42,
-)
+levels, ref_level, paths = tuple(range(4, 9)), 12, 2000
 
 print(f"model: {model.name}, gamma = {model.gamma}")
-print(f"levels {config.levels}, reference level {config.ref_level}, "
-      f"{config.paths} paths")
+print(f"levels {levels}, reference level {ref_level}, {paths} paths")
 
 t0 = time.time()
-report = estimate_strong_error(config)
+report = estimate_strong_error(model, 1.0, levels, ref_level, paths, seed=42)
 print(f"simulated in {time.time() - t0:.1f} s\n")
 
 print(f"{'level':>5} {'N':>6} {'L1 error':>12} {'stderr':>10} {'argmax node':>12}")

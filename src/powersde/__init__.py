@@ -39,7 +39,6 @@ from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import (
     ComparisonReport,
     ConvergenceReport,
-    ExperimentConfig,
     MomentEstimate,
     TimeChangeReport,
     comparison_check,
@@ -60,7 +59,6 @@ __all__ = [
     "ConstantParam",
     "ConvergenceReport",
     "CriterionReport",
-    "ExperimentConfig",
     "FellerResult",
     "HypothesisError",
     "InvalidCoefficientError",

@@ -37,11 +37,13 @@ import sys
 from typing import Optional
 
 from .brownian import derive_seed
-from .config import OVERRIDES, RunConfig, apply_overrides, format_resolved, load_config, parse_number, resolve_config
+from .config import (
+    OVERRIDES, RunConfig, _checked, apply_overrides, format_resolved, load_config, parse_number, resolve_config,
+)
 from .criteria import autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
-    ExperimentConfig, comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check,
+    _check, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check,
 )
 
 __all__ = ["main"]
@@ -79,8 +81,7 @@ def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> Non
 def _resolve_workers(flag: Optional[str]) -> Optional[int]:
     where, text = ("--workers", flag) if flag is not None else ("HE_WORKERS", os.environ.get("HE_WORKERS") or None)
     workers = None if text is None else parse_number(text, where, integer=True)  # None: the cpu count
-    if workers is not None and workers < 1:
-        raise ConfigError(f"{where}: must be at least 1, got {workers}")
+    _checked(where, _check, workers=workers)
     return workers
 
 
@@ -103,19 +104,12 @@ def _autonomous(cfg: RunConfig, command: str):
 
 def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
     """Strong error curve and fitted order."""
-    try:
-        exp = ExperimentConfig(
-            model=cfg.model,
-            horizon=cfg.horizon,
-            levels=cfg.levels,
-            ref_level=cfg.ref_level,
-            paths=cfg.paths,
-            master_seed=derive_seed(cfg.seed, "converge"),
-            on_explosion=cfg.on_explosion,
-        )
-    except ValueError as exc:  # the reference gap rule; resolve_config applied the memory guard
-        raise ConfigError(f"[experiment] {exc}")
-    report = estimate_strong_error(exp, workers=workers)
+    # the gap rule binds converge alone, so resolve_config leaves it here
+    _checked("[experiment] ref_level", _check_ref_gap, cfg.levels, cfg.ref_level)
+    report = estimate_strong_error(
+        cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, derive_seed(cfg.seed, "converge"),
+        on_explosion=cfg.on_explosion, workers=workers,
+    )
 
     fit = {
         "lambda_hat": report.lambda_hat,
@@ -172,8 +166,7 @@ def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
     """Inverse-moment divergence diagnostic."""
     if cfg.q is None:
         raise ConfigError("[condition]: set q (or s, from which q is derived) for the moments command")
-    if cfg.ref_level < 2:  # the diagnostic also runs ref_level - 2
-        raise ConfigError(f"[experiment] ref_level must be at least 2 for moments, got {cfg.ref_level}")
+    _checked("[experiment] ref_level", _check, ref_level=cfg.ref_level)
     est = estimate_inverse_moment(
         cfg.model,
         cfg.q,

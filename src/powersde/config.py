@@ -20,9 +20,12 @@ Every number must be finite, except the ``domain`` endpoints of a custom
 model, where ``inf`` marks an unbounded side.
 
 ``levels`` is an inclusive range ``4:9`` or an explicit list ``4,6,8``.
-No level, ``ref_level`` included, may exceed the memory guard ``MAX_LEVEL``
-(26).
 Custom models name their coefficients from a small builtin registry.
+
+Every value a library function checks is checked here by that same
+function: the horizon by the model's, each level and ``ref_level`` by the
+grid's, the run and condition keys by the estimators' rules.  Its
+refusal becomes a config error naming the section and the key.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
-from .montecarlo import BLOCK_PATHS
+from .models import CoefficientFn, PrototypeParams, SdeModel, _check_horizon, make_prototype
+from .montecarlo import BLOCK_PATHS, _check
 from .params import AffineParam, ConstantParam, SinusoidalParam
-from .schemes import MAX_LEVEL
+from .schemes import _check_grid
 
 __all__ = [
     "RunConfig",
@@ -350,42 +353,37 @@ def _model(section: str, v: dict, horizon: float):
         raise ConfigError(f"[{section}]: {exc}")
 
 
+def _checked(where: str, check, *args, **kwargs) -> None:
+    """Call a library check.  Its ValueError, which starts with the name of
+    the argument, becomes a ConfigError naming where instead."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {str(exc).partition(' ')[2]}") from None
+
+
 def resolve_config(raw: dict) -> RunConfig:
     """Validate the raw config and build every object the subcommands use."""
     m = _values(raw, "model")
     horizon = m["horizon"]
-    if horizon <= 0.0:
-        raise ConfigError("[model] horizon: must be positive")
+    _checked("[model] horizon", _check_horizon, horizon)
     kind, model, prototype = _model("model", m, horizon)
     model_hi = _model("model_hi", _values(raw, "model_hi"), horizon)[1] if raw.get("model_hi") else None
 
     e = _values(raw, "experiment")
-    levels = e["levels"]
-    if not levels or levels[0] < 0:
-        raise ConfigError("[experiment] levels: must be nonnegative and nonempty")
-    if levels[-1] > MAX_LEVEL:
-        raise ConfigError(f"[experiment] levels: level {levels[-1]} exceeds the memory guard {MAX_LEVEL}")
-    if e["ref_level"] > MAX_LEVEL:
-        raise ConfigError(f"[experiment] ref_level: {e['ref_level']} exceeds the memory guard {MAX_LEVEL}")
-    if e["paths"] < 1:
-        raise ConfigError("[experiment] paths: must be at least 1")
-    if e["on_explosion"] not in ("abort", "drop"):
-        raise ConfigError("[experiment] on_explosion: must be 'abort' or 'drop'")
+    for level in e["levels"]:
+        _checked("[experiment] levels", _check_grid, level, horizon)
+    _checked("[experiment] ref_level", _check_grid, e["ref_level"], horizon)
+    for key in ("paths", "on_explosion"):
+        _checked(f"[experiment] {key}", _check, **{key: e[key]})
 
     c = _values(raw, "condition")
     s = c.pop("s")
     if c["q"] is None and s is not None:
         c["q"] = 2.0 * (model.gamma + s - 1.0)
-    if c["q"] is not None and c["q"] > 0.0:
-        raise ConfigError("[condition] q: must be nonpositive")
-    if c["cap"] is not None and c["cap"] <= 0.0:
-        raise ConfigError("[condition] cap: must be positive (or 'auto')")
-    if c["growth_factor"] <= 1.0:
-        raise ConfigError("[condition] growth_factor: must exceed 1")
-    if c["tolerance"] < 0.0:
-        raise ConfigError("[condition] tolerance: must be nonnegative")
-    if not 0.0 < c["significance"] < 1.0:
-        raise ConfigError("[condition] significance: must lie in (0, 1)")
+    for key in ("q", "cap", "growth_factor", "tolerance", "significance"):
+        if c[key] is not None:
+            _checked(f"[condition] {key}", _check, **{key: c[key]})
 
     # the remaining keys of these three sections are RunConfig's own fields
     return RunConfig(

@@ -25,11 +25,15 @@ raises the error with the smallest key, which is the one a single task over
 all paths would raise, so the reported (t, x) does not depend on the worker
 count or the task width either.
 
-Every estimator first calls _check_run, the engine's one check of paths,
-workers and on_explosion; each grid refuses a bad level or horizon before it
-builds a table, estimate_strong_error makes that check for every level it
-plans before it builds the first grid, and each estimator checks only its
-own arguments.
+Each run argument has one rule, and one owner applies it: _check holds the
+rules of the scalar arguments (paths, workers, on_explosion, q, cap,
+growth_factor, tolerance, significance, and the inverse-moment ref_level of
+at least 2), _check_ref_gap the strong error's reference gap, and the grid
+(schemes._check_grid, models._check_horizon) every level and horizon.  Each
+estimator checks its arguments before it builds a grid; estimate_strong_error
+also normalises its levels and checks every level it plans before the first
+grid.  The config layer and the CLI call these same checks, so a refusal
+reads the same from the library and from the command line.
 
 Worker pool
 -----------
@@ -70,7 +74,6 @@ from .models import PrototypeParams, SdeModel, make_prototype
 from .schemes import EulerGrid, EulerSweep, _check_grid, euler_batch
 
 __all__ = [
-    "ExperimentConfig",
     "ConvergenceReport",
     "MomentEstimate",
     "ComparisonReport",
@@ -209,14 +212,29 @@ def _walk(streams: PathStreams, sweeps: list, width: int, chunk_steps: int):
                 raise
 
 
-def _check_run(paths, workers, on_explosion):
-    """Refuse a bad paths, workers or on_explosion, before any grid is built."""
-    if paths < 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if on_explosion not in ("abort", "drop"):
-        raise ValueError(f"on_explosion must be 'abort' or 'drop', got {on_explosion!r}")
+# The rule of each scalar run argument, as name: (test, phrase).  ref_level's
+# is the inverse-moment diagnostic's, which also runs ref_level - 2; the
+# strong error's is the reference gap rule (_check_ref_gap).
+RULES = {
+    "paths": (lambda v: v >= 1, "must be at least 1"),
+    "workers": (lambda v: v is None or v >= 1, "must be at least 1"),
+    "on_explosion": (lambda v: v in ("abort", "drop"), "must be 'abort' or 'drop'"),
+    "q": (lambda v: v <= 0.0, "must be nonpositive"),
+    "cap": (lambda v: v is None or v > 0.0, "must be positive"),
+    "growth_factor": (lambda v: v > 1.0, "must exceed 1"),
+    "tolerance": (lambda v: v >= 0.0, "must be nonnegative"),
+    "significance": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "ref_level": (lambda v: v >= 2, "must be at least 2 for the refinement diagnostic"),
+}
+
+
+def _check(**values):
+    """Refuse the first value that breaks its argument's rule in RULES, with
+    a ValueError that starts with the argument's name."""
+    for name, value in values.items():
+        test, phrase = RULES[name]
+        if not test(value):
+            raise ValueError(f"{name} {phrase}, got {value!r}")
 
 
 def _run_task(seed, plan, simulate, reduce_block, cuts, width, chunk_steps, i):
@@ -282,37 +300,20 @@ def _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion,
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration and the error-curve estimator
+# the error-curve estimator
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """What to simulate for one error curve.
-
-    The reference level must sit at least REF_GAP levels above the finest
-    studied level so the reference's own bias is a small fraction of the
-    errors being measured.  The other fields are checked when
-    estimate_strong_error runs it.
-    """
-
-    model: SdeModel
-    horizon: float
-    levels: tuple[int, ...]
-    ref_level: int
-    paths: int
-    master_seed: int
-    on_explosion: str = "abort"
-
-    def __post_init__(self):
-        levels = tuple(sorted(set(int(l) for l in self.levels)))
-        object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise ValueError("at least one level is required")
-        if self.ref_level < max(levels) + REF_GAP:
-            raise ValueError(
-                f"ref_level: the reference gap rule requires ref_level >= "
-                f"max(levels) + {REF_GAP} = {max(levels) + REF_GAP}, got {self.ref_level}"
-            )
+def _check_ref_gap(levels, ref_level):
+    """The reference gap rule: the reference level sits at least REF_GAP
+    levels above the finest studied level, so that the reference's own bias
+    is a small fraction of the errors being measured."""
+    if not levels:
+        raise ValueError("levels must not be empty")
+    if ref_level < max(levels) + REF_GAP:
+        raise ValueError(
+            f"ref_level: the reference gap rule requires ref_level >= "
+            f"max(levels) + {REF_GAP} = {max(levels) + REF_GAP}, got {ref_level}"
+        )
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def _fit_order(levels, errors, stderrs):
     ssr = float((resid**2).sum())
     sst = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if sst <= 1e-30 else 1.0 - ssr / sst
-    slope_se = math.sqrt(ssr / (n - 2) / sxx) if n > 2 else 0.0
+    slope_se = math.sqrt(ssr / (n - 2) / sxx)
     return -slope, slope_se, r2, excluded
 
 
@@ -393,32 +394,42 @@ def _strong_error_reduce(diffs, rows):
     return tuple(sums)
 
 
-def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = None) -> ConvergenceReport:
+def estimate_strong_error(
+    model: SdeModel,
+    horizon: float,
+    levels,
+    ref_level: int,
+    paths: int,
+    seed: int,
+    on_explosion: str = "abort",
+    workers: Optional[int] = None,
+) -> ConvergenceReport:
     """Coupled strong L1 error of the scheme at each level against the
     fine-grid reference, with a fitted convergence order.
 
-    Every path is simulated once at the reference level and once per studied
-    level, all from one Brownian lattice, so differences are pathwise.  The
-    engine walks each chunk of the lattice through the reference and then
-    the studied levels, finest first, each coarsened from the one above it;
+    levels are sorted and deduplicated, and ref_level must keep the
+    reference gap above the finest of them (_check_ref_gap).  Every path is
+    simulated once at the reference level and once per studied level, all
+    from one Brownian lattice, so differences are pathwise.  The engine
+    walks each chunk of the lattice through the reference and then the
+    studied levels, finest first, each coarsened from the one above it;
     only the current chunk and rung are held, plus each level's per-node
     errors.  The reference keeps only its values on the finest studied grid.
     """
-    _check_run(config.paths, workers, config.on_explosion)
-    levels = config.levels
+    levels = tuple(sorted(set(int(l) for l in levels)))
+    _check_ref_gap(levels, ref_level)
+    _check(paths=paths, workers=workers, on_explosion=on_explosion)
     lmax = max(levels)
     # every level, before any grid is tabulated: a bad one may sit anywhere
-    for level in (config.ref_level, *reversed(levels)):
-        _check_grid(level, config.horizon)
+    for level in (ref_level, *reversed(levels)):
+        _check_grid(level, horizon)
     # the reference, kept on the finest studied grid, then finest first
-    plan = [(EulerGrid(config.model, config.horizon, config.ref_level), 1 << (config.ref_level - lmax))]
-    plan += [(EulerGrid(config.model, config.horizon, level), 1) for level in reversed(levels)]
+    plan = [(EulerGrid(model, horizon, ref_level), 1 << (ref_level - lmax))]
+    plan += [(EulerGrid(model, horizon, level), 1) for level in reversed(levels)]
 
     simulate = partial(_strong_error_simulate, levels)
-    sums, dropped = _map_paths(
-        config.master_seed, plan, simulate, _strong_error_reduce, config.paths, workers, config.on_explosion
-    )
-    m_eff = config.paths - dropped
+    sums, dropped = _map_paths(seed, plan, simulate, _strong_error_reduce, paths, workers, on_explosion)
+    m_eff = paths - dropped
 
     errors, stderrs, argmaxes = [], [], []
     for i in range(len(levels)):
@@ -437,7 +448,7 @@ def estimate_strong_error(config: ExperimentConfig, workers: Optional[int] = Non
         errors=np.asarray(errors),
         stderrs=np.asarray(stderrs),
         argmax_nodes=tuple(argmaxes),
-        paths=config.paths,
+        paths=paths,
         dropped=dropped,
         excluded_levels=excluded,
         lambda_hat=lam,
@@ -594,15 +605,10 @@ def estimate_inverse_moment(
     SLAB_STEPS steps at a time, and per path and level the chunk sums,
     merged as they arrive: at most 1 + log2(chunks) of them.
     """
-    _check_run(paths, workers, on_explosion)
-    if not q <= 0.0:
-        raise ValueError(f"q must be nonpositive, got {q}")
-    if cap is not None and not cap > 0.0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    if not growth_factor > 1.0:
-        raise ValueError(f"growth_factor must exceed 1, got {growth_factor}")
-    if ref_level < 2:
-        raise ValueError("ref_level must be at least 2 for the refinement diagnostic")
+    _check(
+        paths=paths, workers=workers, on_explosion=on_explosion,
+        q=q, cap=cap, growth_factor=growth_factor, ref_level=ref_level,
+    )
     ref_levels = (ref_level - 2, ref_level - 1, ref_level)
     # finest first, so a level past the memory guard is refused before any table
     plan = [(EulerGrid(model, horizon, level), 1) for level in reversed(ref_levels)]
@@ -662,13 +668,13 @@ class ComparisonReport:
         return self.n_violating / (self.paths - self.dropped)
 
 
-def _sampled_close(f, g, horizon, x_range, n=1000, seed=0, tol=1e-10):
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, horizon, n)
-    x = rng.uniform(x_range[0], x_range[1], n)
+def _sampled_close(f, g, horizon, x_range):
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, horizon, 1000)
+    x = rng.uniform(x_range[0], x_range[1], 1000)
     fv = np.asarray(f(t, x), dtype=float)
     gv = np.asarray(g(t, x), dtype=float)
-    return np.max(np.abs(fv - gv)) <= tol * max(1.0, float(np.max(np.abs(fv))))
+    return np.max(np.abs(fv - gv)) <= 1e-10 * max(1.0, float(np.max(np.abs(fv))))
 
 
 def _gap_simulate(gap0, walk, b, width):
@@ -715,9 +721,7 @@ def comparison_check(
     statistical: the fraction of paths whose minimum gap dips below
     -tolerance should be small and should shrink as the level grows.
     """
-    _check_run(paths, workers, on_explosion)
-    if not tolerance >= 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    _check(paths=paths, workers=workers, on_explosion=on_explosion, tolerance=tolerance)
     # before the probes, so the grid names a bad horizon or level first
     plan = [(EulerGrid(model, horizon, level), 1) for model in (model_lo, model_hi)]
     if model_lo.x0 > model_hi.x0:
@@ -817,9 +821,7 @@ def timechange_check(
     two samples are independent and plain two-sample z-tests apply.  dropped
     counts the paths of both samples that went non-finite.
     """
-    _check_run(paths, workers, on_explosion)
-    if not 0.0 < significance < 1.0:
-        raise ValueError(f"significance must lie in (0, 1), got {significance}")
+    _check(paths=paths, workers=workers, on_explosion=on_explosion, significance=significance)
     model = make_prototype(params)
     tc = build_timechange(params.theta, params.horizon)
     changed = time_changed_model(params, tc)

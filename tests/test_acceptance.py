@@ -15,7 +15,6 @@ import pytest
 
 from powersde import (
     AutonomousModel,
-    ExperimentConfig,
     PrototypeParams,
     SdeModel,
     autonomous_from_prototype,
@@ -46,15 +45,15 @@ def cir(kappa=1.0, lam=1.0, theta=1.0, x0=1.0):
 
 
 def convergence_run(model):
-    cfg = ExperimentConfig(
+    cfg = dict(
         model=model,
         horizon=1.0,
         levels=tuple(range(4, 10)),
         ref_level=13,
         paths=10**4,
-        master_seed=derive_seed(SEED, "converge"),
+        seed=derive_seed(SEED, "converge"),
     )
-    return estimate_strong_error(cfg)
+    return estimate_strong_error(**cfg)
 
 
 def test_criterion_01_power_inequalities():
@@ -87,15 +86,15 @@ def test_criterion_02_exact_cases():
         x0=0.25,
         name="flat",
     )
-    cfg = ExperimentConfig(
+    cfg = dict(
         model=flat,
         horizon=1.0,
         levels=(3, 4, 5),
         ref_level=9,
         paths=128,
-        master_seed=7,
+        seed=7,
     )
-    additive = float(np.max(estimate_strong_error(cfg).errors))
+    additive = float(np.max(estimate_strong_error(**cfg).errors))
 
     moment = estimate_inverse_moment(cir(), 0.0, 1.5, 6, 16, seed=3)
     q_zero_exact = bool(
@@ -130,15 +129,15 @@ def test_criterion_03_deterministic_order():
         x0=1.0,
         name="decay-ode",
     )
-    cfg = ExperimentConfig(
+    cfg = dict(
         model=ode,
         horizon=1.0,
         levels=tuple(range(4, 11)),
         ref_level=14,
         paths=1,
-        master_seed=0,
+        seed=0,
     )
-    report = estimate_strong_error(cfg)
+    report = estimate_strong_error(**cfg)
     elapsed = time.time() - start
     ok = (
         report.lambda_hat is not None

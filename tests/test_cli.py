@@ -18,6 +18,8 @@ import pytest
 from powersde import cli
 from powersde.config import BUILTIN_COEFFICIENTS
 from powersde.models import CoefficientFn
+from powersde.montecarlo import comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check
+from powersde.schemes import EulerGrid
 
 
 def run(argv):
@@ -268,6 +270,63 @@ paths = 256
         assert capsys.readouterr().err.strip() != ""
 
 
+# Each run rule the library owns: a library call that breaks it, a command
+# line that breaks it (argv, INI text) and the name the command line gives it.
+ONE_PHRASE = {
+    "horizon": (lambda m, p: EulerGrid(m, 0.0, 4), ["predict"], "[model]\nhorizon = 0\n", "[model] horizon"),
+    "levels-negative": (
+        lambda m, p: comparison_check(m, m, 1.0, -1, 16, 3), ["compare"], "[experiment]\nlevels = -1\n",
+        "[experiment] levels",
+    ),
+    "levels-guard": (
+        lambda m, p: comparison_check(m, m, 1.0, 30, 16, 3), ["compare", "--levels", "30"], "", "[experiment] levels"
+    ),
+    "ref_level-negative": (
+        lambda m, p: EulerGrid(m, 1.0, -1), ["predict", "--ref-level", "-1"], "", "[experiment] ref_level"
+    ),
+    "ref_level-guard": (
+        lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 27, 16, 5), ["predict", "--ref-level", "27"], "",
+        "[experiment] ref_level",
+    ),
+    "paths": (lambda m, p: comparison_check(m, m, 1.0, 4, 0, 3), ["compare", "--paths", "0"], "", "[experiment] paths"),
+    "on_explosion": (
+        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, on_explosion="ignore"), ["compare"],
+        "[experiment]\non_explosion = ignore\n", "[experiment] on_explosion",
+    ),
+    "q": (
+        lambda m, p: estimate_inverse_moment(m, 0.5, 1.0, 4, 16, 5), ["moments"], "[condition]\nq = 0.5\n",
+        "[condition] q",
+    ),
+    "cap": (
+        lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 4, 16, 5, cap=-1.0), ["moments"],
+        "[condition]\nq = -1\ncap = -1\n", "[condition] cap",
+    ),
+    "growth_factor": (
+        lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 4, 16, 5, growth_factor=1.0), ["moments"],
+        "[condition]\nq = -1\ngrowth_factor = 1\n", "[condition] growth_factor",
+    ),
+    "tolerance": (
+        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, tolerance=-1.0), ["compare"],
+        "[condition]\ntolerance = -1\n", "[condition] tolerance",
+    ),
+    "significance": (
+        lambda m, p: timechange_check(p, 4, 16, 9, significance=1.0), ["timechange"],
+        "[condition]\nsignificance = 1\n", "[condition] significance",
+    ),
+    "workers": (
+        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, workers=0), ["compare", "--workers", "0"], "", "--workers"
+    ),
+    "moments-ref_level": (
+        lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 1, 16, 5), ["moments", "--ref-level", "1"],
+        "[condition]\nq = -1\n", "[experiment] ref_level",
+    ),
+    "gap-rule": (
+        lambda m, p: estimate_strong_error(m, 1.0, range(4, 10), 10, 16, 0), ["converge"],
+        "[experiment]\nlevels = 4:9\nref_level = 10\n", "[experiment] ref_level",
+    ),
+}
+
+
 class TestPlumbing:
     def test_dry_run_prints_resolved_config(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, SMALL)
@@ -323,7 +382,28 @@ class TestPlumbing:
     def test_level_above_the_memory_guard_exits_3(self, tmp_path, capsys, command, flag):
         cfg = write_ini(tmp_path, "[condition]\nq = -1\n")
         assert run([command, "--config", cfg, flag, "30"]) == 3
-        assert "exceeds the memory guard 26" in capsys.readouterr().err
+        assert "must lie in [0, 26] (the memory guard), got 30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref_level", ["-1", "27"])
+    @pytest.mark.parametrize(
+        "argv", [["converge", "--dry-run"], ["timechange", "--dry-run"], ["timechange"]],
+        ids=["converge-dry-run", "timechange-dry-run", "timechange"],
+    )
+    def test_a_ref_level_off_the_grid_range_exits_3(self, tmp_path, capsys, argv, ref_level):
+        # a negative ref_level once passed where no gap rule applies
+        cfg = write_ini(tmp_path, "[experiment]\nlevels = 4\npaths = 64\n")
+        assert run(argv + ["--config", cfg, "--ref-level", ref_level]) == 3
+        assert "config error: [experiment] ref_level: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ONE_PHRASE, ids=list(ONE_PHRASE))
+    def test_the_library_and_the_cli_word_a_refusal_alike(self, tmp_path, capsys, cir_model, cir_params, rule):
+        library_call, argv, ini, where = ONE_PHRASE[rule]
+        with pytest.raises(ValueError) as exc_info:
+            library_call(cir_model, cir_params)
+        # the library's message is "<argument name>[:] <phrase>"
+        phrase = str(exc_info.value).split(" ", 1)[1]
+        assert run(argv + ["--config", write_ini(tmp_path, ini)]) == 3
+        assert capsys.readouterr().err == f"config error: {where}: {phrase}\n"
 
     @pytest.mark.parametrize(
         "command,key,value", [("converge", "horizon", "nan"), ("predict", "kappa", "inf"), ("feller", "theta", "nan")]

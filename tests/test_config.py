@@ -12,7 +12,7 @@ from powersde.config import (
 )
 from powersde.errors import ConfigError
 from powersde.models import KINDS
-from powersde.montecarlo import ExperimentConfig
+from powersde.montecarlo import estimate_strong_error
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
 
 
@@ -121,18 +121,11 @@ seed = 9
 
     def test_gap_rule_names_itself(self):
         # only converge reads both levels and ref_level, so the config resolves
-        # and the ExperimentConfig that converge builds enforces the rule
+        # and estimate_strong_error, which converge calls, enforces the rule
         cfg = resolve_config({"experiment": {"levels": "4:9", "ref_level": "10"}})
         assert (cfg.levels[-1], cfg.ref_level) == (9, 10)
         with pytest.raises(ValueError, match="gap rule"):
-            ExperimentConfig(
-                model=cfg.model,
-                horizon=cfg.horizon,
-                levels=cfg.levels,
-                ref_level=cfg.ref_level,
-                paths=cfg.paths,
-                master_seed=cfg.seed,
-            )
+            estimate_strong_error(cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, cfg.seed)
 
     def test_override_merging(self):
         raw = {"experiment": {"seed": "1", "paths": "10"}}

@@ -18,7 +18,6 @@ from powersde.schemes import EulerGrid, EulerSweep
 from powersde import montecarlo
 from powersde.montecarlo import (
     ComparisonReport,
-    ExperimentConfig,
     _endpoint_moments,
     comparison_check,
     estimate_inverse_moment,
@@ -55,69 +54,67 @@ def small_config(model, **kw):
         levels=(4, 5, 6),
         ref_level=10,
         paths=256,
-        master_seed=11,
+        seed=11,
     )
     defaults.update(kw)
-    return ExperimentConfig(**defaults)
+    return defaults
 
 
 class TestExperimentConfig:
+    """The run rules ExperimentConfig once applied, now estimate_strong_error's
+    own: level normalisation, the gap rule and the argument checks."""
+
     def test_gap_rule(self, cir_model):
         with pytest.raises(ValueError, match="ref_level: the reference gap rule"):
-            ExperimentConfig(
-                model=cir_model, horizon=1.0, levels=(4, 9), ref_level=10, paths=10, master_seed=0
-            )
+            estimate_strong_error(cir_model, 1.0, (4, 9), 10, 10, 0, workers=1)
 
     def test_levels_are_sorted_and_deduplicated(self, cir_model):
-        cfg = ExperimentConfig(
-            model=cir_model, horizon=1.0, levels=(6, 4, 6, 5), ref_level=10, paths=10, master_seed=0
-        )
-        assert cfg.levels == (4, 5, 6)
+        r = estimate_strong_error(cir_model, 1.0, (6, 4, 6, 5), 10, 10, 0, workers=1)
+        assert r.levels == (4, 5, 6)
 
     def test_memory_guard(self, cir_model):
         # the reference grid applies it, when the estimator builds its plan
-        cfg = ExperimentConfig(model=cir_model, horizon=1.0, levels=(4,), ref_level=27, paths=10, master_seed=0)
         with pytest.raises(ValueError, match="memory guard"):
-            estimate_strong_error(cfg, workers=1)
+            estimate_strong_error(cir_model, 1.0, (4,), 27, 10, 0, workers=1)
 
     @pytest.mark.parametrize(
         "field,value",
-        [("paths", 0), ("horizon", 0.0), ("on_explosion", "ignore")],
+        [("paths", 0), ("horizon", 0.0), ("on_explosion", "ignore"), ("levels", ())],
     )
     def test_invalid_fields(self, cir_model, field, value):
         kw = dict(
-            model=cir_model, horizon=1.0, levels=(4,), ref_level=10, paths=10, master_seed=0
+            model=cir_model, horizon=1.0, levels=(4,), ref_level=10, paths=10, seed=0
         )
         kw[field] = value
-        # the estimator checks them (the engine or the grid), not the config
+        # the estimator checks them (by its rules, or the grid's)
         with pytest.raises(ValueError, match=f"^{field} "):
-            estimate_strong_error(ExperimentConfig(**kw), workers=1)
+            estimate_strong_error(**kw, workers=1)
 
 
 class TestStrongError:
     def test_additive_noise_has_no_discretization_error(self):
         m = SdeModel(drift=_const(0.0), base_sigma=_const(1.0), gamma=0.5, x0=0.0)
-        r = estimate_strong_error(small_config(m, paths=64), workers=1)
+        r = estimate_strong_error(**small_config(m, paths=64), workers=1)
         assert np.max(r.errors) <= 1e-12
 
     def test_deterministic_ode_has_order_one(self):
         m = SdeModel(drift=_neg_x(), base_sigma=_const(0.0), gamma=0.5, x0=1.0)
-        cfg = ExperimentConfig(
-            model=m, horizon=1.0, levels=tuple(range(4, 11)), ref_level=15, paths=1, master_seed=0
+        cfg = dict(
+            model=m, horizon=1.0, levels=tuple(range(4, 11)), ref_level=15, paths=1, seed=0
         )
-        r = estimate_strong_error(cfg, workers=1)
+        r = estimate_strong_error(**cfg, workers=1)
         assert r.lambda_hat == pytest.approx(1.0, abs=0.05)
         assert r.stderrs.max() == 0.0
 
     def test_errors_shrink_with_level(self, cir_model):
-        r = estimate_strong_error(small_config(cir_model), workers=1)
+        r = estimate_strong_error(**small_config(cir_model), workers=1)
         assert np.all(np.diff(r.errors) < 0.0)
         assert np.all(r.errors > 0.0)
         assert r.paths == 256
         assert r.dropped == 0
 
     def test_report_arrays_are_frozen(self, cir_model):
-        r = estimate_strong_error(small_config(cir_model, levels=(4,), paths=32), workers=1)
+        r = estimate_strong_error(**small_config(cir_model, levels=(4,), paths=32), workers=1)
         with pytest.raises(ValueError):
             r.errors[0] = 0.0
 
@@ -147,14 +144,14 @@ class TestExplosionPolicy:
     def test_abort_raises_with_count(self):
         cfg = small_config(barrier_model(), levels=(4,), ref_level=8, paths=128)
         with pytest.raises(SimulationAbort) as exc_info:
-            estimate_strong_error(cfg, workers=1)
+            estimate_strong_error(**cfg, workers=1)
         assert exc_info.value.n_flagged > 0
 
     def test_drop_keeps_survivors(self):
         cfg = small_config(
             barrier_model(), levels=(4,), ref_level=8, paths=128, on_explosion="drop"
         )
-        r = estimate_strong_error(cfg, workers=1)
+        r = estimate_strong_error(**cfg, workers=1)
         assert 0 < r.dropped < 128
         assert np.isfinite(r.errors).all()
 
@@ -195,8 +192,8 @@ def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
     whichever task finishes first.  The inverse-moment and comparison
     reports are pinned: in the comparison the lo sweep's error is the one
     reported, so a change of sweep order shows."""
-    cfg = ExperimentConfig(
-        model=nan_above_model(), horizon=1.0, levels=(2, 3, 4), ref_level=8, paths=2048, master_seed=7
+    cfg = dict(
+        model=nan_above_model(), horizon=1.0, levels=(2, 3, 4), ref_level=8, paths=2048, seed=7
     )
 
     def reported(run, workers):
@@ -220,7 +217,7 @@ def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
         assert reported(comparison, workers) == (0.47265625, 3.5226141281839856, (0, 0, 484, 1131))
 
     def strong_error(workers):
-        estimate_strong_error(cfg, workers=workers)
+        estimate_strong_error(**cfg, workers=workers)
 
     serial = reported(strong_error, 1)
     assert [reported(strong_error, 2) for _ in range(8)] == [serial] * 8
@@ -340,10 +337,10 @@ class TestTimeChangeCheck:
 
 class TestWrightFisherContainment:
     def test_paths_never_leave_the_widened_interval(self, wf_model):
-        cfg = ExperimentConfig(
-            model=wf_model, horizon=1.0, levels=(6,), ref_level=10, paths=200, master_seed=4
+        cfg = dict(
+            model=wf_model, horizon=1.0, levels=(6,), ref_level=10, paths=200, seed=4
         )
-        r = estimate_strong_error(cfg, workers=1)
+        r = estimate_strong_error(**cfg, workers=1)
         assert np.isfinite(r.errors).all()
         inc = sample_increment_batch(PathStreams(4, 0, 200, 10, 1.0))
         kept, bad = euler_run(wf_model, inc, 1.0)
@@ -380,7 +377,7 @@ MULTI_BLOCK_PATHS = 1200
 def _run_estimator(name, model, params, workers):
     n = MULTI_BLOCK_PATHS
     if name == "strong_error":
-        return estimate_strong_error(small_config(model, paths=n), workers=workers)
+        return estimate_strong_error(**small_config(model, paths=n), workers=workers)
     if name == "inverse_moment":
         return estimate_inverse_moment(model, -1.0, 1.0, 9, n, 5, workers=workers)
     if name == "comparison":
@@ -425,7 +422,7 @@ def test_a_bad_horizon_is_rejected_before_any_work(monkeypatch, cir_model, cir_p
     monkeypatch.setattr(montecarlo, "_map_paths", simulate_nothing)
     with pytest.raises(ValueError, match="horizon"):
         if name == "strong_error":
-            estimate_strong_error(small_config(cir_model, horizon=horizon, paths=16), workers=1)
+            estimate_strong_error(**small_config(cir_model, horizon=horizon, paths=16), workers=1)
         elif name == "inverse_moment":
             estimate_inverse_moment(cir_model, -1.0, horizon, 4, 16, 5, workers=1)
         elif name == "comparison":
@@ -472,9 +469,9 @@ def test_a_bad_argument_is_named_before_any_pool_starts(monkeypatch, cir_model, 
 
 def _run_small(name, model, params, workers=1, **kwargs):
     """One estimator on a small run, kwargs overriding its arguments (for
-    estimate_strong_error, the ExperimentConfig fields)."""
+    estimate_strong_error, those of small_config)."""
     if name == "strong_error":
-        return estimate_strong_error(small_config(model, **{"paths": 16, **kwargs}), workers=workers)
+        return estimate_strong_error(**small_config(model, **{"paths": 16, **kwargs}), workers=workers)
     if name == "inverse_moment":
         run = estimate_inverse_moment
         args = dict(model=model, q=-1.0, horizon=1.0, ref_level=4, paths=16, seed=5)
@@ -514,17 +511,17 @@ def test_a_bad_level_anywhere_in_the_plan_is_named_before_any_grid_is_tabulated(
 
     monkeypatch.setattr(CoefficientFn, "tabulate", tabulate_nothing)
     with pytest.raises(ValueError, match="^level "):
-        estimate_strong_error(small_config(cir_model, levels=levels, ref_level=ref_level), workers=1)
+        estimate_strong_error(**small_config(cir_model, levels=levels, ref_level=ref_level), workers=1)
 
 
 def test_estimator_outputs_are_pinned(cir_model):
     """Exact outputs of a small strong-error and inverse-moment run.  A change
     to sampling, coarsening, the kernel or the merge order that moves any
     bit shows up here."""
-    cfg = ExperimentConfig(
-        model=cir_model, horizon=1.0, levels=(3, 4, 5), ref_level=9, paths=96, master_seed=11
+    cfg = dict(
+        model=cir_model, horizon=1.0, levels=(3, 4, 5), ref_level=9, paths=96, seed=11
     )
-    r = estimate_strong_error(cfg, workers=1)
+    r = estimate_strong_error(**cfg, workers=1)
     assert [float(e).hex() for e in r.errors] == ["0x1.28fa4c4ac92fbp-4", "0x1.afb417476e545p-5", "0x1.28938c6ddb94dp-5"]
     assert [float(e).hex() for e in r.stderrs] == ["0x1.7eb64cb032027p-8", "0x1.06d216b652340p-8", "0x1.7014624846ee3p-9"]
     assert r.lambda_hat.hex() == "0x1.007fde5b1a0c6p-1"
@@ -624,11 +621,11 @@ def test_strong_error_task_holds_a_chunk_not_the_lattice(cir_model):
     """One strong-error task streams its lattice: the traced peak stays below
     a quarter of the paths x 2^ref_level float64 lattice it would otherwise
     hold."""
-    cfg = ExperimentConfig(
-        model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, master_seed=3
+    cfg = dict(
+        model=cir_model, horizon=1.0, levels=(4, 5, 6), ref_level=13, paths=128, seed=3
     )
-    _, peak = traced_peak(lambda: estimate_strong_error(cfg, workers=1))
-    assert peak < cfg.paths * (1 << cfg.ref_level) * 8 / 4
+    _, peak = traced_peak(lambda: estimate_strong_error(**cfg, workers=1))
+    assert peak < cfg["paths"] * (1 << cfg["ref_level"]) * 8 / 4
 
 
 def test_inverse_moment_task_holds_a_few_chunks(cir_model):
