@@ -21,6 +21,13 @@ generated from the config's key table and parsed as INI text.  Exit codes:
 0 success, 2 simulation abort (or an argparse usage error), 3 config error,
 4 hypothesis failure, 5 invalid coefficient.
 
+main checks a run on one path before anything runs: resolve_config applies
+the rules of every run, then _RULES those of its subcommand alone (the
+reference gap of converge, q and a ref_level of at least 2 for moments, a
+prototype model for predict and timechange, one with constant parameters
+for feller and ito).  --dry-run returns only after both, so it refuses
+every config error the run would raise, with the same message and exit 3.
+
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
 "timechange"; the timechange check further derives "original" and
@@ -40,7 +47,7 @@ from .brownian import derive_seed
 from .config import (
     OVERRIDES, RunConfig, _checked, apply_overrides, format_resolved, load_config, parse_number, resolve_config,
 )
-from .criteria import autonomous_from_prototype, feller_test, ito_criterion, predict_rate
+from .criteria import _constants, autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
     _check, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check,
@@ -85,17 +92,41 @@ def _resolve_workers(flag: Optional[str]) -> Optional[int]:
     return workers
 
 
-def _prototype(cfg: RunConfig, command: str):
+# ---------------------------------------------------------------------------
+# each subcommand's own rules, beyond those resolve_config applies to every run
+
+
+def _gap_rule(cfg: RunConfig, command: str) -> None:
+    _checked("[experiment] ref_level", _check_ref_gap, cfg.levels, cfg.ref_level)
+
+
+def _moment_rules(cfg: RunConfig, command: str) -> None:
+    if cfg.q is None:
+        raise ConfigError("[condition]: set q (or s, from which q is derived) for the moments command")
+    _checked("[experiment] ref_level", _check, ref_level=cfg.ref_level)
+
+
+def _prototype(cfg: RunConfig, command: str) -> None:
     if cfg.prototype is None:
         raise ConfigError(f"{command} requires a prototype model (kind cir, wf or ckls)")
-    return cfg.prototype
 
 
-def _autonomous(cfg: RunConfig, command: str):
+def _autonomous(cfg: RunConfig, command: str) -> None:
+    _prototype(cfg, command)
     try:
-        return autonomous_from_prototype(_prototype(cfg, command))
+        _constants(cfg.prototype)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+_RULES = {
+    "converge": _gap_rule,
+    "predict": _prototype,
+    "moments": _moment_rules,
+    "feller": _autonomous,
+    "ito": _autonomous,
+    "timechange": _prototype,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +135,6 @@ def _autonomous(cfg: RunConfig, command: str):
 
 def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
     """Strong error curve and fitted order."""
-    # the gap rule binds converge alone, so resolve_config leaves it here
-    _checked("[experiment] ref_level", _check_ref_gap, cfg.levels, cfg.ref_level)
     report = estimate_strong_error(
         cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, derive_seed(cfg.seed, "converge"),
         on_explosion=cfg.on_explosion, workers=workers,
@@ -148,7 +177,7 @@ def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
 
 def cmd_predict(cfg: RunConfig, workers: Optional[int]) -> int:
     """Boundary-drift rate prediction."""
-    pred = predict_rate(_prototype(cfg, "predict"))
+    pred = predict_rate(cfg.prototype)
     fields = {
         "mu0": pred.mu0,
         "mu1": pred.mu1,
@@ -164,9 +193,6 @@ def cmd_predict(cfg: RunConfig, workers: Optional[int]) -> int:
 
 def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
     """Inverse-moment divergence diagnostic."""
-    if cfg.q is None:
-        raise ConfigError("[condition]: set q (or s, from which q is derived) for the moments command")
-    _checked("[experiment] ref_level", _check, ref_level=cfg.ref_level)
     est = estimate_inverse_moment(
         cfg.model,
         cfg.q,
@@ -194,7 +220,7 @@ def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
 
 def cmd_feller(cfg: RunConfig, workers: Optional[int]) -> int:
     """Boundary classification (Feller test)."""
-    result = feller_test(_autonomous(cfg, "feller"))
+    result = feller_test(autonomous_from_prototype(cfg.prototype))
     fields = {
         "conclusion": result.conclusion,
         "left": result.left.classification,
@@ -216,13 +242,8 @@ def cmd_feller(cfg: RunConfig, workers: Optional[int]) -> int:
 
 def cmd_ito(cfg: RunConfig, workers: Optional[int]) -> int:
     """Drift/curvature boundedness criterion."""
-    report = ito_criterion(_autonomous(cfg, "ito"))
-    row = {
-        "classification": report.classification,
-        "inf_estimate": report.inf_estimate,
-        "left_trend": report.left_trend,
-        "right_trend": report.right_trend,
-    }
+    report = ito_criterion(autonomous_from_prototype(cfg.prototype))
+    row = {key: getattr(report, key) for key in ("classification", "inf_estimate", "left_trend", "right_trend")}
     fields = dict(row)
     if report.s_exponent is not None:  # bounded below: the criterion gives a rate
         fields.update(s=report.s_exponent, lambda_sup=report.lambda_sup)
@@ -235,7 +256,7 @@ def cmd_ito(cfg: RunConfig, workers: Optional[int]) -> int:
 def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
     """Clock-change distribution check."""
     report = timechange_check(
-        _prototype(cfg, "timechange"),
+        cfg.prototype,
         max(cfg.levels),
         cfg.paths,
         derive_seed(cfg.seed, "timechange"),
@@ -252,13 +273,8 @@ def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
     }
     print(_record(fields))
     if cfg.out:
-        row = {
-            **fields,
-            "mean_original": report.mean_original,
-            "mean_changed": report.mean_changed,
-            "var_original": report.var_original,
-            "var_changed": report.var_changed,
-        }
+        moments = ("mean_original", "mean_changed", "var_original", "var_changed")
+        row = {**fields, **{key: getattr(report, key) for key in moments}}
         _write_table(cfg.out, {key: [value] for key, value in row.items()})
     return 0
 
@@ -290,15 +306,8 @@ def cmd_compare(cfg: RunConfig, workers: Optional[int]) -> int:
         print(_record(fields))
         reports.append(rep)
     if cfg.out:
-        columns = {
-            "level": [rep.level for rep in reports],
-            "paths": [rep.paths for rep in reports],
-            "n_violating": [rep.n_violating for rep in reports],
-            "violation_fraction": [rep.violation_fraction for rep in reports],
-            "max_violation": [rep.max_violation for rep in reports],
-            "tolerance": [rep.tolerance for rep in reports],
-        }
-        _write_table(cfg.out, columns)
+        columns = ("level", "paths", "n_violating", "violation_fraction", "max_violation", "tolerance")
+        _write_table(cfg.out, {key: [getattr(rep, key) for rep in reports] for key in columns})
     return 0
 
 
@@ -337,10 +346,12 @@ def main(argv=None) -> int:
     try:
         raw = apply_overrides(load_config(args.config), **{key: getattr(args, key) for key in OVERRIDES})
         workers = _resolve_workers(args.workers)
+        cfg = resolve_config(raw)
+        if args.command in _RULES:
+            _RULES[args.command](cfg, args.command)
         if args.dry_run:
             sys.stdout.write(format_resolved(raw))
             return 0
-        cfg = resolve_config(raw)
         # looked up at call time, so a wrapped entry of _COMMANDS is the one called
         return _COMMANDS[args.command](cfg, workers)
     except ConfigError as exc:

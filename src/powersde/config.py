@@ -24,8 +24,10 @@ Custom models name their coefficients from a small builtin registry.
 
 Every value a library function checks is checked here by that same
 function: the horizon by the model's, each level and ``ref_level`` by the
-grid's, the run and condition keys by the estimators' rules.  Its
-refusal becomes a config error naming the section and the key.
+grid's, the run and condition keys by the estimators' rules, a model block
+by the model's hypotheses (models._check_state).  Its refusal becomes a
+config error naming the section and the key.  These rules bind every run;
+those of one subcommand alone are cli._RULES.
 """
 
 from __future__ import annotations
@@ -274,7 +276,6 @@ def _values(raw: dict, section: str) -> dict:
 class RunConfig:
     """Everything a subcommand needs, fully typed and validated."""
 
-    kind: str
     model: SdeModel
     prototype: Optional[PrototypeParams]
     model_hi: Optional[SdeModel]
@@ -327,11 +328,10 @@ def apply_overrides(raw: dict, **overrides) -> dict:
 
 
 def _model(section: str, v: dict, horizon: float):
-    """Build (kind, SdeModel, PrototypeParams|None) from a model block's values."""
-    kind = v["kind"]
+    """Build (SdeModel, PrototypeParams|None) from a model block's values."""
     try:
-        if kind == "custom":
-            return kind, SdeModel(
+        if v["kind"] == "custom":
+            return SdeModel(
                 drift=BUILTIN_COEFFICIENTS[v["drift"]],
                 base_sigma=BUILTIN_COEFFICIENTS[v["sigma"]],
                 gamma=v["gamma"],
@@ -339,16 +339,9 @@ def _model(section: str, v: dict, horizon: float):
                 domain=v["domain"],
                 name=f"custom-{v['drift']}-{v['sigma']}",
             ), None
-        params = PrototypeParams(
-            kind=kind,
-            kappa=v["kappa"],
-            lam=v["lam"],
-            theta=v["theta"],
-            x0=v["x0"],
-            gamma=v["gamma"] or None,  # gamma = 0 means unset: 1/2, or an error for ckls
-            horizon=horizon,
-        )
-        return kind, make_prototype(params), params
+        # a prototype kind's keys are PrototypeParams' fields, and both models run on [model]'s horizon
+        params = PrototypeParams(**{**v, "horizon": horizon})
+        return make_prototype(params), params
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{section}]: {exc}")
 
@@ -367,8 +360,8 @@ def resolve_config(raw: dict) -> RunConfig:
     m = _values(raw, "model")
     horizon = m["horizon"]
     _checked("[model] horizon", _check_horizon, horizon)
-    kind, model, prototype = _model("model", m, horizon)
-    model_hi = _model("model_hi", _values(raw, "model_hi"), horizon)[1] if raw.get("model_hi") else None
+    model, prototype = _model("model", m, horizon)
+    model_hi = _model("model_hi", _values(raw, "model_hi"), horizon)[0] if raw.get("model_hi") else None
 
     e = _values(raw, "experiment")
     for level in e["levels"]:
@@ -387,15 +380,14 @@ def resolve_config(raw: dict) -> RunConfig:
 
     # the remaining keys of these three sections are RunConfig's own fields
     return RunConfig(
-        kind=kind, model=model, prototype=prototype, model_hi=model_hi, horizon=horizon,
+        model=model, prototype=prototype, model_hi=model_hi, horizon=horizon,
         **e, **c, **_values(raw, "output"),
     )
 
 
 def format_resolved(raw: dict) -> str:
     """Render every key the run reads, with the text of the value it uses,
-    for --dry-run."""
-    resolve_config(raw)  # validates; raises ConfigError on problems
+    for --dry-run, after resolve_config has checked the values."""
     lines = []
     for section in KEYS:
         if section == "model_hi" and not raw.get(section):

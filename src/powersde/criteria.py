@@ -42,7 +42,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import HypothesisError
-from .models import KINDS, PrototypeParams, SdeModel, CoefficientFn, _theta_positive, clamped_power
+from .models import (
+    KINDS, PrototypeParams, SdeModel, CoefficientFn, _check_gamma, _check_state, _theta_positive, clamped_power,
+)
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
 
@@ -114,36 +116,24 @@ def predict_rate(params: PrototypeParams) -> RatePrediction:
     fail there is no prediction and the violated ratio is named.
     """
     kappa, lam, theta = params.kappa, params.lam, params.theta
-    T = params.horizon
+    # the inward drift factor at each end: lam(t) at 0, and 1 - lam(t) at 1 for wf
+    inward = [lam, lambda t: 1.0 - lam(t)] if params.kind == "wf" else [lam]
+    mus = []
+    for part in inward:
 
-    def ratio0(t):
-        th = theta(t)
-        return kappa(t) * lam(t) / (th * th)
-
-    mu0 = _refined_min(ratio0, T)
-    if not mu0 > 0.0:
-        raise HypothesisError(f"mu0 <= 0 (got {mu0:.6g}); no order prediction applies")
-
-    mu1 = None
-    if params.kind == "wf":
-
-        def ratio1(t):
+        def ratio(t):
             th = theta(t)
-            return kappa(t) * (1.0 - lam(t)) / (th * th)
+            return kappa(t) * part(t) / (th * th)
 
-        mu1 = _refined_min(ratio1, T)
-        if not mu1 > 0.0:
-            raise HypothesisError(f"mu1 <= 0 (got {mu1:.6g}); no order prediction applies")
+        mus.append(_refined_min(ratio, params.horizon))
+        if not mus[-1] > 0.0:
+            raise HypothesisError(f"mu{len(mus) - 1} <= 0 (got {mus[-1]:.6g}); no order prediction applies")
+    mu0, mu1 = (*mus, None)[:2]
 
-    if params.kind == "cir":
-        lambda_sup = min(0.5, mu0)
-        provenance = "cir-boundary-rate"
-    elif params.kind == "wf":
-        lambda_sup = min(0.5, mu0, mu1)
-        provenance = "wf-boundary-rate"
+    if params.kind == "ckls":
+        lambda_sup, provenance = 0.5, "ckls-rate"
     else:
-        lambda_sup = 0.5
-        provenance = "ckls-rate"
+        lambda_sup, provenance = min(0.5, *mus), f"{params.kind}-boundary-rate"
 
     s_exponent = max(0.0, 0.5 - lambda_sup)
     return RatePrediction(
@@ -158,8 +148,7 @@ def theorem_rate(gamma: float, s_exponent: float) -> float:
     gamma - 1/2, and at s = 1/2 (only possible for gamma = 1/2) the
     prediction is vacuous and a warning is emitted.
     """
-    if not 0.5 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [1/2, 1), got {gamma}")
+    _check_gamma(gamma)
     if not 0.0 <= s_exponent <= 1.0 - gamma:
         raise ValueError(f"s must lie in [0, {1.0 - gamma}], got {s_exponent}")
     rate = 0.5 - s_exponent
@@ -194,33 +183,33 @@ class AutonomousModel:
     x0: float
 
     def __post_init__(self):
-        if not 0.5 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [1/2, 1), got {self.gamma}")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"empty domain ({lo}, {hi})")
-        if not lo < self.x0 < hi:
-            raise ValueError(f"x0={self.x0} outside domain ({lo}, {hi})")
+        _check_state(self.gamma, self.x0, self.domain)
 
     def c_squared(self, x):
         return clamped_power(self.sigma(x), 2.0 * self.gamma)
 
 
+def _constants(params: PrototypeParams) -> tuple[float, float, float]:
+    """kappa, lam and theta of a prototype, each of which must be constant
+    in time: the rule of the autonomous criteria."""
+    values = []
+    for label in ("kappa", "lam", "theta"):
+        lo, hi = getattr(params, label).bounds(params.horizon)
+        if lo != hi:
+            raise ValueError(f"{label} must be constant in time for autonomous criteria")
+        values.append(lo)
+    return tuple(values)
+
+
 def autonomous_from_prototype(params: PrototypeParams) -> AutonomousModel:
     """Freeze a constant-parameter prototype into an autonomous model.
 
-    Requires kappa, lam, theta to be constants; interior expressions are used
-    (no positive-part clamps), which is valid because the criteria only ever
-    evaluate strictly inside the domain.
+    Requires kappa, lam, theta to be constants (_constants); interior
+    expressions are used (no positive-part clamps), which is valid because
+    the criteria only ever evaluate strictly inside the domain.
     """
-    vals = {}
-    for label, p in (("kappa", params.kappa), ("lam", params.lam), ("theta", params.theta)):
-        lo, hi = p.bounds(params.horizon)
-        if lo != hi:
-            raise ValueError(f"{label} must be constant in time for autonomous criteria")
-        vals[label] = lo
-    kap, lam = vals["kappa"], vals["lam"]
-    scale = params.scale(vals["theta"])
+    kap, lam, theta = _constants(params)
+    scale = params.scale(theta)
 
     def a(x):
         return kap * (lam - x)

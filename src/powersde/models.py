@@ -96,16 +96,26 @@ class SdeModel:
             coef = getattr(self, role)
             if not isinstance(coef, CoefficientFn):
                 object.__setattr__(self, role, CoefficientFn(coef))
-        if not 0.5 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [1/2, 1), got {self.gamma}")
-        if not math.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not lo < hi:
-                raise ValueError(f"empty domain ({lo}, {hi})")
-            if not lo < self.x0 < hi:
-                raise ValueError(f"x0={self.x0} outside domain ({lo}, {hi})")
+        _check_state(self.gamma, self.x0, self.domain)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.5 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [1/2, 1), got {gamma}")
+
+
+def _check_state(gamma: float, x0: float, domain: Optional[tuple[float, float]]) -> None:
+    """The hypotheses every model shares: gamma in [1/2, 1), and x0 finite
+    and inside domain when one is given."""
+    _check_gamma(gamma)
+    if domain is not None:
+        lo, hi = domain
+        if not lo < hi:
+            raise ValueError(f"empty domain ({lo}, {hi})")
+        if not lo < x0 < hi:
+            raise ValueError(f"x0={x0} outside domain ({lo}, {hi})")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
 
 
 def clamped_power(sig, gamma: float):

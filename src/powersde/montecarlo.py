@@ -668,13 +668,13 @@ class ComparisonReport:
         return self.n_violating / (self.paths - self.dropped)
 
 
-def _sampled_close(f, g, horizon, x_range):
-    rng = np.random.default_rng(0)
+def _sampled(f, g, horizon, x_range, seed):
+    """f and g at the same 1,000 points (t, x), drawn under seed from
+    [0, horizon] x x_range."""
+    rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, horizon, 1000)
     x = rng.uniform(x_range[0], x_range[1], 1000)
-    fv = np.asarray(f(t, x), dtype=float)
-    gv = np.asarray(g(t, x), dtype=float)
-    return np.max(np.abs(fv - gv)) <= 1e-10 * max(1.0, float(np.max(np.abs(fv))))
+    return np.asarray(f(t, x), dtype=float), np.asarray(g(t, x), dtype=float)
 
 
 def _gap_simulate(gap0, walk, b, width):
@@ -729,13 +729,10 @@ def comparison_check(
     if model_lo.gamma != model_hi.gamma:
         raise HypothesisError("models must share the diffusion exponent")
     x_probe = (model_lo.x0 - 2.0, model_hi.x0 + 2.0)
-    if not _sampled_close(model_lo.base_sigma, model_hi.base_sigma, horizon, x_probe):
+    slo, shi = _sampled(model_lo.base_sigma, model_hi.base_sigma, horizon, x_probe, 0)
+    if not np.max(np.abs(slo - shi)) <= 1e-10 * max(1.0, float(np.max(np.abs(slo)))):
         raise HypothesisError("models must share the identical base diffusion")
-    rng = np.random.default_rng(1)
-    t = rng.uniform(0.0, horizon, 1000)
-    x = rng.uniform(x_probe[0], x_probe[1], 1000)
-    alo = np.asarray(model_lo.drift(t, x), dtype=float)
-    ahi = np.asarray(model_hi.drift(t, x), dtype=float)
+    alo, ahi = _sampled(model_lo.drift, model_hi.drift, horizon, x_probe, 1)
     if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 

@@ -22,6 +22,9 @@ from powersde.montecarlo import comparison_check, estimate_inverse_moment, estim
 from powersde.schemes import EulerGrid
 
 
+CUSTOM = "[model]\nkind = custom\ndrift = zero\nsigma = one\n"
+
+
 def run(argv):
     return cli.main(list(argv))
 
@@ -434,6 +437,27 @@ class TestPlumbing:
     def test_malformed_workers_flag_exits_3_under_dry_run(self, capsys):
         assert run(["predict", "--dry-run", "--workers", "x"]) == 3
         assert "--workers: cannot parse 'x' as an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,ini",
+        [
+            (["converge", "--levels", "4:9", "--ref-level", "10"], ""),
+            (["moments"], ""),
+            (["moments", "--ref-level", "1"], "[condition]\nq = -1\n"),
+            *[([command], CUSTOM) for command in ("predict", "feller", "ito", "timechange")],
+            *[([command], "[model]\nkappa = affine:1,0.5\n") for command in ("feller", "ito")],
+        ],
+        ids=[
+            "converge-gap", "moments-no-q", "moments-ref-level-1", "predict-custom", "feller-custom",
+            "ito-custom", "timechange-custom", "feller-affine-kappa", "ito-affine-kappa",
+        ],
+    )
+    def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, capsys, argv, ini):
+        argv = argv + ["--config", write_ini(tmp_path, ini)]
+        assert run(argv) == 3
+        refused = capsys.readouterr().err
+        assert run(argv + ["--dry-run"]) == 3
+        assert capsys.readouterr() == ("", refused)
 
     @pytest.mark.parametrize("flag, env, where", [("0", None, "--workers"), (None, "-3", "HE_WORKERS")])
     def test_a_worker_count_below_one_exits_3(self, tmp_path, monkeypatch, capsys, flag, env, where):

@@ -68,7 +68,7 @@ def write_ini(tmp_path, text):
 class TestLoadAndResolve:
     def test_defaults_alone_give_a_cir_experiment(self):
         cfg = resolve_config({})
-        assert cfg.kind == "cir"
+        assert cfg.prototype.kind == "cir"
         assert cfg.levels == (4, 5, 6, 7, 8, 9)
         assert cfg.ref_level == 13
         assert cfg.paths == 10000
@@ -94,7 +94,7 @@ seed = 9
 """,
         )
         cfg = resolve_config(load_config(path))
-        assert cfg.kind == "wf"
+        assert cfg.prototype.kind == "wf"
         assert cfg.levels == (5, 6, 7)
         assert cfg.seed == 9
         assert cfg.model.name == "wf"
@@ -210,6 +210,22 @@ seed = 9
         raw = {"model": {"kind": "ckls"}}  # gamma missing
         with pytest.raises(ConfigError):
             resolve_config(raw)
+
+    @pytest.mark.parametrize("section", ["model", "model_hi"])
+    @pytest.mark.parametrize(
+        "kind,gamma,message",
+        [
+            ("cir", "0", "cir has gamma fixed at 1/2"),
+            ("wf", "0", "wf has gamma fixed at 1/2"),
+            ("cir", "0.75", "cir has gamma fixed at 1/2"),
+            ("ckls", "0", "ckls requires gamma in (1/2, 1)"),
+        ],
+    )
+    def test_a_gamma_the_kind_does_not_allow_is_refused(self, section, kind, gamma, message):
+        # gamma = 0 is a value like any other, never read as unset
+        with pytest.raises(ConfigError) as exc_info:
+            resolve_config({section: {"kind": kind, "gamma": gamma}})
+        assert str(exc_info.value) == f"[{section}]: {message}"
 
 
 class TestCustomModels:

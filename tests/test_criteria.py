@@ -15,7 +15,7 @@ from powersde.criteria import (
     time_changed_model,
 )
 from powersde.errors import HypothesisError
-from powersde.models import PrototypeParams, make_prototype
+from powersde.models import PrototypeParams, SdeModel, make_prototype
 from powersde.params import AffineParam, ConstantParam, SinusoidalParam
 from powersde.schemes import EulerGrid
 
@@ -129,6 +129,23 @@ class TestAutonomous:
                 domain=(0.0, math.inf),
                 x0=x0,
             )
+
+    @pytest.mark.parametrize(
+        "gamma,x0,domain",
+        [(1.0, 1.0, (0.0, 1.0)), (0.5, 0.5, (1.0, 1.0)), (0.5, 2.0, (0.0, 1.0)), (0.5, math.nan, (0.0, math.inf))],
+        ids=["gamma", "empty-domain", "x0-outside", "x0-nan"],
+    )
+    def test_refuses_a_model_in_the_words_of_sde_model(self, gamma, x0, domain):
+        zero = lambda x: 0.0 * np.asarray(x)
+        refusals = []
+        for build in (
+            lambda: AutonomousModel(zero, zero, zero, zero, gamma=gamma, domain=domain, x0=x0),
+            lambda: SdeModel(lambda t, x: x, lambda t, x: x, gamma=gamma, x0=x0, domain=domain),
+        ):
+            with pytest.raises(ValueError) as exc_info:
+                build()
+            refusals.append(str(exc_info.value))
+        assert refusals[0] == refusals[1]
 
     def test_rejects_time_varying_parameters(self):
         with pytest.raises(ValueError, match="constant"):
