@@ -34,7 +34,6 @@ from .errors import (
     PowerSdeError,
     SimulationAbort,
 )
-from .inequalities import concave_power_gap, power_gap_bound
 from .models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from .montecarlo import (
     ComparisonReport,
@@ -75,14 +74,12 @@ __all__ = [
     "autonomous_from_prototype",
     "build_timechange",
     "comparison_check",
-    "concave_power_gap",
     "derive_seed",
     "estimate_inverse_moment",
     "estimate_strong_error",
     "feller_test",
     "ito_criterion",
     "make_prototype",
-    "power_gap_bound",
     "predict_rate",
     "theorem_rate",
     "time_changed_model",

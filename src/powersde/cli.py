@@ -25,8 +25,9 @@ main checks a run on one path before anything runs: resolve_config applies
 the rules of every run, then _RULES those of its subcommand alone (the
 reference gap of converge, q and a ref_level of at least 2 for moments, a
 prototype model for predict and timechange, one with constant parameters
-for feller and ito).  --dry-run returns only after both, so it refuses
-every config error the run would raise, with the same message and exit 3.
+for feller and ito, positive drift ratios for predict and the comparison
+hypotheses for compare).  --dry-run returns only after both, so it refuses
+what the run refuses before simulating, with the same message and exit code.
 
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
@@ -50,7 +51,8 @@ from .config import (
 from .criteria import _constants, autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
 from .montecarlo import (
-    _check, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check,
+    _check, _check_pair, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error,
+    timechange_check,
 )
 
 __all__ = ["main"]
@@ -111,6 +113,15 @@ def _prototype(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} requires a prototype model (kind cir, wf or ckls)")
 
 
+def _rate_rules(cfg: RunConfig, command: str) -> None:
+    _prototype(cfg, command)
+    predict_rate(cfg.prototype)
+
+
+def _pair_rules(cfg: RunConfig, command: str) -> None:
+    _check_pair(cfg.model, cfg.model_hi if cfg.model_hi is not None else cfg.model, cfg.horizon)
+
+
 def _autonomous(cfg: RunConfig, command: str) -> None:
     _prototype(cfg, command)
     try:
@@ -121,11 +132,12 @@ def _autonomous(cfg: RunConfig, command: str) -> None:
 
 _RULES = {
     "converge": _gap_rule,
-    "predict": _prototype,
+    "predict": _rate_rules,
     "moments": _moment_rules,
     "feller": _autonomous,
     "ito": _autonomous,
     "timechange": _prototype,
+    "compare": _pair_rules,
 }
 
 

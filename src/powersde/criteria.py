@@ -20,9 +20,11 @@ scheme be expected to reach for this model" from a different angle:
   scale theta(t) by the clock change int theta^2, producing an autonomous-
   scale model whose endpoint law must match the original's.
 
-The prototypes' coefficients are not written out here: autonomous_from_prototype
-and time_changed_model take each kind's state space and state factor from
-models.KINDS and its diffusion scale from PrototypeParams.scale.
+autonomous_from_prototype and time_changed_model take each kind's state
+space from models.KINDS and its diffusion scale from PrototypeParams.scale.
+time_changed_model also takes the clamped state factor from there;
+autonomous_from_prototype writes sigma, sigma' and sigma'' itself, unclamped
+(for wf, sigma = scale * x * (1 - x), an order the ito bytes depend on).
 
 Improper integrals and limits are classified by their trend over geometric
 refinements toward the endpoint, never by one magic evaluation; knife-edge

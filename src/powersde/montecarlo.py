@@ -677,6 +677,23 @@ def _sampled(f, g, horizon, x_range, seed):
     return np.asarray(f(t, x), dtype=float), np.asarray(g(t, x), dtype=float)
 
 
+def _check_pair(model_lo: SdeModel, model_hi: SdeModel, horizon: float) -> None:
+    """The comparison hypotheses: ordered starting points, a shared gamma,
+    an identical base diffusion and ordered drifts, the last two probed at
+    the same 1,000 points on [0, horizon] under seeds 0 and 1."""
+    if model_lo.x0 > model_hi.x0:
+        raise HypothesisError("model_lo must start at or below model_hi")
+    if model_lo.gamma != model_hi.gamma:
+        raise HypothesisError("models must share the diffusion exponent")
+    x_probe = (model_lo.x0 - 2.0, model_hi.x0 + 2.0)
+    slo, shi = _sampled(model_lo.base_sigma, model_hi.base_sigma, horizon, x_probe, 0)
+    if not np.max(np.abs(slo - shi)) <= 1e-10 * max(1.0, float(np.max(np.abs(slo)))):
+        raise HypothesisError("models must share the identical base diffusion")
+    alo, ahi = _sampled(model_lo.drift, model_hi.drift, horizon, x_probe, 1)
+    if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
+        raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
+
+
 def _gap_simulate(gap0, walk, b, width):
     # each path's smallest gap over all nodes, node 0 included; min is
     # exact, so taking it chunk by chunk changes no bit
@@ -724,17 +741,7 @@ def comparison_check(
     _check(paths=paths, workers=workers, on_explosion=on_explosion, tolerance=tolerance)
     # before the probes, so the grid names a bad horizon or level first
     plan = [(EulerGrid(model, horizon, level), 1) for model in (model_lo, model_hi)]
-    if model_lo.x0 > model_hi.x0:
-        raise HypothesisError("model_lo must start at or below model_hi")
-    if model_lo.gamma != model_hi.gamma:
-        raise HypothesisError("models must share the diffusion exponent")
-    x_probe = (model_lo.x0 - 2.0, model_hi.x0 + 2.0)
-    slo, shi = _sampled(model_lo.base_sigma, model_hi.base_sigma, horizon, x_probe, 0)
-    if not np.max(np.abs(slo - shi)) <= 1e-10 * max(1.0, float(np.max(np.abs(slo)))):
-        raise HypothesisError("models must share the identical base diffusion")
-    alo, ahi = _sampled(model_lo.drift, model_hi.drift, horizon, x_probe, 1)
-    if np.any(alo > ahi + 1e-10 * np.maximum(1.0, np.abs(ahi))):
-        raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
+    _check_pair(model_lo, model_hi, horizon)
 
     simulate = partial(_gap_simulate, float(model_hi.x0) - float(model_lo.x0))
     reduce_block = partial(_gap_reduce, tolerance)

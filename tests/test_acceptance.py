@@ -27,8 +27,9 @@ from powersde import (
 )
 from powersde import cli
 from powersde.brownian import derive_seed
-from powersde.inequalities import concave_power_gap, power_gap_bound
 from powersde.params import SinusoidalParam
+
+from inequalities import concave_power_gap, power_gap_bound
 
 SEED = 42
 

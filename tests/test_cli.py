@@ -439,24 +439,28 @@ class TestPlumbing:
         assert "--workers: cannot parse 'x' as an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv,ini",
+        "argv,ini,code",
         [
-            (["converge", "--levels", "4:9", "--ref-level", "10"], ""),
-            (["moments"], ""),
-            (["moments", "--ref-level", "1"], "[condition]\nq = -1\n"),
-            *[([command], CUSTOM) for command in ("predict", "feller", "ito", "timechange")],
-            *[([command], "[model]\nkappa = affine:1,0.5\n") for command in ("feller", "ito")],
+            (["converge", "--levels", "4:9", "--ref-level", "10"], "", 3),
+            (["moments"], "", 3),
+            (["moments", "--ref-level", "1"], "[condition]\nq = -1\n", 3),
+            *[([command], CUSTOM, 3) for command in ("predict", "feller", "ito", "timechange")],
+            *[([command], "[model]\nkappa = affine:1,0.5\n", 3) for command in ("feller", "ito")],
+            (["predict"], "[model]\nlam = -1\n", 4),
+            (["compare"], "[model]\nlam = 1.5\n[model_hi]\nlam = 0.5\n", 4),
+            (["compare"], "[model]\nx0 = 2\n[model_hi]\nx0 = 1\n", 4),
         ],
         ids=[
             "converge-gap", "moments-no-q", "moments-ref-level-1", "predict-custom", "feller-custom",
             "ito-custom", "timechange-custom", "feller-affine-kappa", "ito-affine-kappa",
+            "predict-negative-lam", "compare-drift-order", "compare-x0-order",
         ],
     )
-    def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, capsys, argv, ini):
+    def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, capsys, argv, ini, code):
         argv = argv + ["--config", write_ini(tmp_path, ini)]
-        assert run(argv) == 3
+        assert run(argv) == code
         refused = capsys.readouterr().err
-        assert run(argv + ["--dry-run"]) == 3
+        assert run(argv + ["--dry-run"]) == code
         assert capsys.readouterr() == ("", refused)
 
     @pytest.mark.parametrize("flag, env, where", [("0", None, "--workers"), (None, "-3", "HE_WORKERS")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from powersde.inequalities import concave_power_gap, power_gap_bound
+from inequalities import concave_power_gap, power_gap_bound
 
 
 def test_known_value_beta_one():
