@@ -32,8 +32,9 @@ what the run refuses before simulating, with the same message and exit code.
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
 "timechange"; the timechange check further derives "original" and
-"changed" for its two independent samples).  Output bytes are identical
-for any worker count.
+"changed" for its two independent samples).  compare makes one library call
+over all its levels, so each coarser level runs on the finest level's
+Brownian increments halved.  Output bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -294,20 +295,11 @@ def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
 def cmd_compare(cfg: RunConfig, workers: Optional[int]) -> int:
     """Pathwise ordering of two models."""
     model_hi = cfg.model_hi if cfg.model_hi is not None else cfg.model
-    seed = derive_seed(cfg.seed, "compare")
-    reports = []
-    for level in cfg.levels:
-        rep = comparison_check(
-            cfg.model,
-            model_hi,
-            cfg.horizon,
-            level,
-            cfg.paths,
-            seed,
-            tolerance=cfg.tolerance,
-            on_explosion=cfg.on_explosion,
-            workers=workers,
-        )
+    reports = comparison_check(
+        cfg.model, model_hi, cfg.horizon, cfg.levels, cfg.paths, derive_seed(cfg.seed, "compare"),
+        tolerance=cfg.tolerance, on_explosion=cfg.on_explosion, workers=workers,
+    )
+    for rep in reports:
         fields = {
             "level": rep.level,
             "violations": rep.n_violating,
@@ -316,7 +308,6 @@ def cmd_compare(cfg: RunConfig, workers: Optional[int]) -> int:
             "tolerance": rep.tolerance,
         }
         print(_record(fields))
-        reports.append(rep)
     if cfg.out:
         columns = ("level", "paths", "n_violating", "violation_fraction", "max_violation", "tolerance")
         _write_table(cfg.out, {key: [getattr(rep, key) for rep in reports] for key in columns})

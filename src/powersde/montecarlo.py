@@ -30,10 +30,11 @@ rules of the scalar arguments (paths, workers, on_explosion, q, cap,
 growth_factor, tolerance, significance, and the inverse-moment ref_level of
 at least 2), _check_ref_gap the strong error's reference gap, and the grid
 (schemes._check_grid, models._check_horizon) every level and horizon.  Each
-estimator checks its arguments before it builds a grid; estimate_strong_error
-also normalises its levels and checks every level it plans before the first
-grid.  The config layer and the CLI call these same checks, so a refusal
-reads the same from the library and from the command line.
+estimator checks its arguments before it builds a grid; the two that take a
+list of levels (the strong error and the comparison) normalise it in
+_plan_levels, which checks every level they plan before the first grid.  The
+config layer and the CLI call these same checks, so a refusal reads the same
+from the library and from the command line.
 
 Worker pool
 -----------
@@ -45,11 +46,11 @@ through pickle; a task that does not pickle runs serially (_run_batches).
 Explosion policy
 ----------------
 A path that goes non-finite at any of the grids an estimator runs is left
-out of every partial sum.  The engine applies this one rule for all four
-estimators: it reads each task's sweeps, hands reduce_block only the
-surviving paths and counts the rest.  on_explosion="abort" raises
-SimulationAbort if there is any, "drop" reports how many were dropped, and
-a run with no surviving path always aborts.
+out of every partial sum, at every level it reports.  The engine applies
+this one rule for all four estimators: it reads each task's sweeps, hands
+reduce_block only the surviving paths and counts the rest.
+on_explosion="abort" raises SimulationAbort if there is any, "drop" reports
+how many were dropped, and a run with no surviving path always aborts.
 """
 
 from __future__ import annotations
@@ -237,6 +238,18 @@ def _check(**values):
             raise ValueError(f"{name} {phrase}, got {value!r}")
 
 
+def _plan_levels(levels, horizon, *above) -> tuple[int, ...]:
+    """levels sorted and deduplicated; an empty list is refused, and every
+    grid of the plan (above, then levels finest first) is checked before the
+    first is tabulated, since a bad one may sit anywhere."""
+    levels = tuple(sorted(set(int(l) for l in levels)))
+    if not levels:
+        raise ValueError("levels must not be empty")
+    for level in (*above, *reversed(levels)):
+        _check_grid(level, horizon)
+    return levels
+
+
 def _run_task(seed, plan, simulate, reduce_block, cuts, width, chunk_steps, i):
     """Task i of a _map_paths call: its blocks' partials and drop counts, or
     the InvalidCoefficientError it met.  Every value it reads is an argument,
@@ -307,8 +320,6 @@ def _check_ref_gap(levels, ref_level):
     """The reference gap rule: the reference level sits at least REF_GAP
     levels above the finest studied level, so that the reference's own bias
     is a small fraction of the errors being measured."""
-    if not levels:
-        raise ValueError("levels must not be empty")
     if ref_level < max(levels) + REF_GAP:
         raise ValueError(
             f"ref_level: the reference gap rule requires ref_level >= "
@@ -407,22 +418,19 @@ def estimate_strong_error(
     """Coupled strong L1 error of the scheme at each level against the
     fine-grid reference, with a fitted convergence order.
 
-    levels are sorted and deduplicated, and ref_level must keep the
-    reference gap above the finest of them (_check_ref_gap).  Every path is
-    simulated once at the reference level and once per studied level, all
-    from one Brownian lattice, so differences are pathwise.  The engine
+    levels are sorted and deduplicated (_plan_levels), and ref_level must
+    keep the reference gap above the finest of them (_check_ref_gap).  Every
+    path is simulated once at the reference level and once per studied
+    level, all from one Brownian lattice, so differences are pathwise.  The engine
     walks each chunk of the lattice through the reference and then the
     studied levels, finest first, each coarsened from the one above it;
     only the current chunk and rung are held, plus each level's per-node
     errors.  The reference keeps only its values on the finest studied grid.
     """
-    levels = tuple(sorted(set(int(l) for l in levels)))
+    levels = _plan_levels(levels, horizon, ref_level)
     _check_ref_gap(levels, ref_level)
     _check(paths=paths, workers=workers, on_explosion=on_explosion)
     lmax = max(levels)
-    # every level, before any grid is tabulated: a bad one may sit anywhere
-    for level in (ref_level, *reversed(levels)):
-        _check_grid(level, horizon)
     # the reference, kept on the finest studied grid, then finest first
     plan = [(EulerGrid(model, horizon, ref_level), 1 << (ref_level - lmax))]
     plan += [(EulerGrid(model, horizon, level), 1) for level in reversed(levels)]
@@ -652,8 +660,9 @@ def estimate_inverse_moment(
 class ComparisonReport:
     """Order violations of a drift-ordered pair at one level.
 
-    dropped paths went non-finite under either model and are left out of
-    n_violating, max_violation and violation_fraction.
+    dropped paths went non-finite under either model at any level of the
+    run and are left out of n_violating, max_violation and
+    violation_fraction.
     """
 
     level: int
@@ -694,68 +703,65 @@ def _check_pair(model_lo: SdeModel, model_hi: SdeModel, horizon: float) -> None:
         raise HypothesisError("sampled drift ordering a_lo <= a_hi fails")
 
 
-def _gap_simulate(gap0, walk, b, width):
-    # each path's smallest gap over all nodes, node 0 included; min is
-    # exact, so taking it chunk by chunk changes no bit
-    worst = np.full(b, gap0)
+def _gap_simulate(gap0, n_levels, walk, b, width):
+    # each path's smallest gap over all nodes, node 0 included, per level
+    # finest first (sweeps lo, hi per level); min is exact, so taking it
+    # chunk by chunk changes no bit
+    worst = np.full((n_levels, b), gap0)
     for i, _, nodes in walk:
-        if i == 0:
+        if i % 2 == 0:
             lo_nodes = nodes
         else:
-            np.minimum(worst, (nodes - lo_nodes).min(axis=0), out=worst)
+            np.minimum(worst[i // 2], (nodes - lo_nodes).min(axis=0), out=worst[i // 2])
         del nodes  # only lo's nodes stay alive while the walk resumes
     return worst
 
 
 def _gap_reduce(tolerance, worst, rows):
-    kept = worst[rows]
-    violating = int((kept < -tolerance).sum())
-    max_violation = max(0.0, -float(kept.min(initial=np.inf)))
-    return violating, max_violation
+    # per level: the violating paths and the largest violation
+    return tuple(
+        (int((kept < -tolerance).sum()), max(0.0, -float(kept.min(initial=np.inf)))) for kept in worst[:, rows]
+    )
 
 
 def _count_and_max(a, b):
-    return a[0] + b[0], max(a[1], b[1])
+    return tuple((x[0] + y[0], max(x[1], y[1])) for x, y in zip(a, b))
 
 
 def comparison_check(
     model_lo: SdeModel,
     model_hi: SdeModel,
     horizon: float,
-    level: int,
+    levels,
     paths: int,
     seed: int,
     tolerance: float = 1e-3,
     on_explosion: str = "abort",
     workers: Optional[int] = None,
-) -> ComparisonReport:
+) -> list[ComparisonReport]:
     """Drive two drift-ordered models with identical noise and count order
-    violations.
+    violations: one report per level, ascending.
 
     For the continuous equations, a_lo <= a_hi with shared diffusion and
     ordered starting points keeps the paths ordered with probability one.
     The discrete scheme only satisfies this approximately, so the check is
     statistical: the fraction of paths whose minimum gap dips below
-    -tolerance should be small and should shrink as the level grows.
+    -tolerance should be small and should shrink as the level grows.  All
+    levels run on one lattice, lo then hi at each level, finest first and
+    each halved from the one above, so they compare the same paths, and a
+    path dropped at one level is dropped from every report.
     """
     _check(paths=paths, workers=workers, on_explosion=on_explosion, tolerance=tolerance)
     # before the probes, so the grid names a bad horizon or level first
-    plan = [(EulerGrid(model, horizon, level), 1) for model in (model_lo, model_hi)]
+    levels = _plan_levels(levels, horizon)
     _check_pair(model_lo, model_hi, horizon)
+    plan = [(EulerGrid(model, horizon, level), 1) for level in reversed(levels) for model in (model_lo, model_hi)]
 
-    simulate = partial(_gap_simulate, float(model_hi.x0) - float(model_lo.x0))
+    simulate = partial(_gap_simulate, float(model_hi.x0) - float(model_lo.x0), len(levels))
     reduce_block = partial(_gap_reduce, tolerance)
-    (n_violating, max_violation), dropped = _map_paths(
-        seed, plan, simulate, reduce_block, paths, workers, on_explosion, _count_and_max
-    )
-    return ComparisonReport(
-        level=level,
-        paths=paths,
-        dropped=dropped,
-        tolerance=tolerance,
-        n_violating=n_violating,
-        max_violation=max_violation,
-    )
+    totals, dropped = _map_paths(seed, plan, simulate, reduce_block, paths, workers, on_explosion, _count_and_max)
+    report = partial(ComparisonReport, paths=paths, dropped=dropped, tolerance=tolerance)
+    return [report(level=level, n_violating=n, max_violation=m) for level, (n, m) in zip(levels, reversed(totals))]
 
 
 # ---------------------------------------------------------------------------

@@ -251,10 +251,7 @@ def test_criterion_10_comparison_check():
     lo = cir(lam=0.25)
     hi = cir(lam=1.0)
     seed = derive_seed(SEED, "compare")
-    frac = {
-        level: comparison_check(lo, hi, 1.0, level, 1000, seed).violation_fraction
-        for level in (8, 10)
-    }
+    frac = {rep.level: rep.violation_fraction for rep in comparison_check(lo, hi, 1.0, (8, 10), 1000, seed)}
     elapsed = time.time() - start
     ok = frac[10] < 0.01 and frac[10] <= frac[8] and elapsed < 60.0
     emit(10, ok, f"violation fraction {frac[8]:.3f} -> {frac[10]:.3f}, {elapsed:.1f}s")

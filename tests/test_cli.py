@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powersde import cli
+from powersde import cli, montecarlo
 from powersde.config import BUILTIN_COEFFICIENTS
 from powersde.models import CoefficientFn
 from powersde.montecarlo import comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check
@@ -264,6 +264,26 @@ paths = 256
         line = capsys.readouterr().out.strip()
         assert "violation_fraction=0" in line
 
+    def test_one_engine_call_and_one_library_pair_check_per_run(self, tmp_path, monkeypatch, capsys):
+        """Every level runs in one dispatch, and the pair hypotheses are
+        checked twice: by the command's rule and by the library call."""
+        calls = {"_check_pair": 0, "_run_batches": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "_check_pair", counted("_check_pair", cli._check_pair))
+        monkeypatch.setattr(montecarlo, "_check_pair", counted("_check_pair", montecarlo._check_pair))
+        monkeypatch.setattr(montecarlo, "_run_batches", counted("_run_batches", montecarlo._run_batches))
+        cfg = write_ini(tmp_path, "[model]\nlam = 0.5\n[experiment]\nlevels = 4,5\npaths = 64\n")
+        assert run(["compare", "--config", cfg, "--workers", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert calls == {"_check_pair": 2, "_run_batches": 1}
+
     def test_misordered_pair_exits_4(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path,
@@ -278,11 +298,11 @@ paths = 256
 ONE_PHRASE = {
     "horizon": (lambda m, p: EulerGrid(m, 0.0, 4), ["predict"], "[model]\nhorizon = 0\n", "[model] horizon"),
     "levels-negative": (
-        lambda m, p: comparison_check(m, m, 1.0, -1, 16, 3), ["compare"], "[experiment]\nlevels = -1\n",
+        lambda m, p: comparison_check(m, m, 1.0, (-1,), 16, 3), ["compare"], "[experiment]\nlevels = -1\n",
         "[experiment] levels",
     ),
     "levels-guard": (
-        lambda m, p: comparison_check(m, m, 1.0, 30, 16, 3), ["compare", "--levels", "30"], "", "[experiment] levels"
+        lambda m, p: comparison_check(m, m, 1.0, (30,), 16, 3), ["compare", "--levels", "30"], "", "[experiment] levels"
     ),
     "ref_level-negative": (
         lambda m, p: EulerGrid(m, 1.0, -1), ["predict", "--ref-level", "-1"], "", "[experiment] ref_level"
@@ -291,9 +311,11 @@ ONE_PHRASE = {
         lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 27, 16, 5), ["predict", "--ref-level", "27"], "",
         "[experiment] ref_level",
     ),
-    "paths": (lambda m, p: comparison_check(m, m, 1.0, 4, 0, 3), ["compare", "--paths", "0"], "", "[experiment] paths"),
+    "paths": (
+        lambda m, p: comparison_check(m, m, 1.0, (4,), 0, 3), ["compare", "--paths", "0"], "", "[experiment] paths"
+    ),
     "on_explosion": (
-        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, on_explosion="ignore"), ["compare"],
+        lambda m, p: comparison_check(m, m, 1.0, (4,), 16, 3, on_explosion="ignore"), ["compare"],
         "[experiment]\non_explosion = ignore\n", "[experiment] on_explosion",
     ),
     "q": (
@@ -309,7 +331,7 @@ ONE_PHRASE = {
         "[condition]\nq = -1\ngrowth_factor = 1\n", "[condition] growth_factor",
     ),
     "tolerance": (
-        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, tolerance=-1.0), ["compare"],
+        lambda m, p: comparison_check(m, m, 1.0, (4,), 16, 3, tolerance=-1.0), ["compare"],
         "[condition]\ntolerance = -1\n", "[condition] tolerance",
     ),
     "significance": (
@@ -317,7 +339,7 @@ ONE_PHRASE = {
         "[condition]\nsignificance = 1\n", "[condition] significance",
     ),
     "workers": (
-        lambda m, p: comparison_check(m, m, 1.0, 4, 16, 3, workers=0), ["compare", "--workers", "0"], "", "--workers"
+        lambda m, p: comparison_check(m, m, 1.0, (4,), 16, 3, workers=0), ["compare", "--workers", "0"], "", "--workers"
     ),
     "moments-ref_level": (
         lambda m, p: estimate_inverse_moment(m, -1.0, 1.0, 1, 16, 5), ["moments", "--ref-level", "1"],

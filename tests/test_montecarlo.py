@@ -158,14 +158,25 @@ class TestExplosionPolicy:
     def test_comparison_aborts_on_exploded_paths(self):
         # exploded gaps were NaN and nanmin counted them as non-violating
         with pytest.raises(SimulationAbort) as exc_info:
-            comparison_check(barrier_model(), barrier_model(), 1.0, 6, 128, 3)
+            comparison_check(barrier_model(), barrier_model(), 1.0, (6,), 128, 3)
         assert exc_info.value.n_flagged > 0
 
     def test_comparison_drop_reports_dropped_paths(self):
-        rep = comparison_check(barrier_model(), barrier_model(), 1.0, 6, 128, 3, on_explosion="drop")
+        [rep] = comparison_check(barrier_model(), barrier_model(), 1.0, (6,), 128, 3, on_explosion="drop")
         assert 0 < rep.dropped < 128
         assert rep.n_violating == 0
         assert rep.violation_fraction == 0.0
+
+    def test_comparison_drops_a_path_from_every_level(self):
+        """The engine's one explosion rule: a path dropped at any level of a
+        run is left out of every level's report, so all report one count, at
+        least that of the finest level alone."""
+        model = barrier_model()
+        reports = comparison_check(model, model, 1.0, (4, 6), 128, 3, on_explosion="drop")
+        [finest] = comparison_check(model, model, 1.0, (6,), 128, 3, on_explosion="drop")
+        assert [rep.level for rep in reports] == [4, 6]
+        assert reports[0].dropped == reports[1].dropped
+        assert finest.dropped <= reports[0].dropped < 128
 
     def test_inverse_moment_with_no_survivors_aborts(self):
         with pytest.raises(SimulationAbort, match="every path exploded"):
@@ -209,12 +220,16 @@ def test_bad_coefficient_report_does_not_depend_on_pool_timing(monkeypatch):
     lo = SdeModel(drift=_const(0.0), base_sigma=sigma, gamma=0.5, x0=1.0)
     hi = SdeModel(drift=_const(1.0), base_sigma=sigma, gamma=0.5, x0=1.0)
 
-    def comparison(workers):
-        comparison_check(lo, hi, 1.0, 10, 2048, 7, workers=workers)
+    def comparison(levels, workers):
+        comparison_check(lo, hi, 1.0, levels, 2048, 7, workers=workers)
 
     for workers in (1, 2):
         assert reported(inverse_moment, workers) == (0.00390625, 1.071015454665311, (0, 0, 1, 0))
-        assert reported(comparison, workers) == (0.47265625, 3.5226141281839856, (0, 0, 484, 1131))
+        # with a coarser level in the plan, the finest level's error still comes first
+        for levels in ((10,), (8, 10)):
+            assert reported(partial(comparison, levels), workers) == (
+                0.47265625, 3.5226141281839856, (0, 0, 484, 1131)
+            )
 
     def strong_error(workers):
         estimate_strong_error(**cfg, workers=workers)
@@ -289,30 +304,44 @@ class TestInverseMoment:
 
 class TestComparison:
     def test_identical_models_never_violate(self, cir_model):
-        rep = comparison_check(cir_model, cir_model, 1.0, 6, 128, 3)
+        [rep] = comparison_check(cir_model, cir_model, 1.0, (6,), 128, 3)
         assert rep.n_violating == 0
         assert rep.max_violation == 0.0
         assert rep.violation_fraction == 0.0
 
     def test_ordered_drifts_rarely_cross(self, cir_model):
         lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
-        rep = comparison_check(lo, cir_model, 1.0, 9, 256, 3)
+        [rep] = comparison_check(lo, cir_model, 1.0, (9,), 256, 3)
         assert rep.violation_fraction < 0.05
 
     def test_x0_ordering_enforced(self, cir_model):
         hi = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=1.0, theta=1.0, x0=0.5))
         with pytest.raises(HypothesisError):
-            comparison_check(cir_model, hi, 1.0, 6, 16, 0)
+            comparison_check(cir_model, hi, 1.0, (6,), 16, 0)
 
     def test_sigma_mismatch_enforced(self, cir_model):
         other = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=1.0, theta=2.0, x0=1.0))
         with pytest.raises(HypothesisError):
-            comparison_check(cir_model, other, 1.0, 6, 16, 0)
+            comparison_check(cir_model, other, 1.0, (6,), 16, 0)
 
     def test_drift_ordering_enforced(self, cir_model):
         lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
         with pytest.raises(HypothesisError):
-            comparison_check(cir_model, lo, 1.0, 6, 16, 0)
+            comparison_check(cir_model, lo, 1.0, (6,), 16, 0)
+
+    def test_every_level_runs_on_the_finest_lattice(self, cir_model):
+        """The finest level of a two-level run is the one-level run bit for
+        bit, and the coarse level counts the violations of the finest
+        lattice halved, swept whole by each model."""
+        lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
+        coarse, fine = comparison_check(lo, cir_model, 1.0, (5, 7), MULTI_BLOCK_PATHS, 3, tolerance=1e-6, workers=1)
+        _assert_same_report([fine], comparison_check(lo, cir_model, 1.0, (7,), MULTI_BLOCK_PATHS, 3, tolerance=1e-6))
+        lattice = sample_increment_batch(PathStreams(3, 0, MULTI_BLOCK_PATHS, 7, 1.0))
+        halved = coarsen_increments(lattice, 2)
+        worst = (euler_run(cir_model, halved, 1.0)[0] - euler_run(lo, halved, 1.0)[0]).min(axis=1)
+        assert coarse.level == 5
+        assert coarse.n_violating == int((worst < -1e-6).sum()) > 0
+        assert coarse.max_violation == max(0.0, -float(worst.min()))
 
     def test_fraction_property(self):
         rep = ComparisonReport(level=5, paths=200, dropped=0, tolerance=1e-3, n_violating=3, max_violation=0.01)
@@ -382,11 +411,16 @@ def _run_estimator(name, model, params, workers):
         return estimate_inverse_moment(model, -1.0, 1.0, 9, n, 5, workers=workers)
     if name == "comparison":
         lo = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=0.25, theta=1.0, x0=1.0))
-        return comparison_check(lo, model, 1.0, 7, n, 3, tolerance=1e-6, workers=workers)
+        return comparison_check(lo, model, 1.0, (5, 7), n, 3, tolerance=1e-6, workers=workers)
     return timechange_check(params, 6, n, 9, workers=workers)
 
 
 def _assert_same_report(a, b):
+    if isinstance(a, list):  # the comparison's reports, one per level
+        assert len(a) == len(b)
+        for one, other in zip(a, b):
+            _assert_same_report(one, other)
+        return
     for field in dataclasses.fields(a):
         np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name), err_msg=field.name)
 
@@ -426,7 +460,7 @@ def test_a_bad_horizon_is_rejected_before_any_work(monkeypatch, cir_model, cir_p
         elif name == "inverse_moment":
             estimate_inverse_moment(cir_model, -1.0, horizon, 4, 16, 5, workers=1)
         elif name == "comparison":
-            comparison_check(cir_model, cir_model, horizon, 4, 16, 3, workers=1)
+            comparison_check(cir_model, cir_model, horizon, (4,), 16, 3, workers=1)
         else:
             timechange_check(dataclasses.replace(cir_params, horizon=horizon), 4, 16, 9, workers=1)
 
@@ -475,9 +509,10 @@ def _run_small(name, model, params, workers=1, **kwargs):
     if name == "inverse_moment":
         run = estimate_inverse_moment
         args = dict(model=model, q=-1.0, horizon=1.0, ref_level=4, paths=16, seed=5)
-    elif name == "comparison":
+    elif name == "comparison":  # on one level, which a level keyword sets
         run = comparison_check
-        args = dict(model_lo=model, model_hi=model, horizon=1.0, level=4, paths=16, seed=3)
+        levels = (kwargs.pop("level", 4),)
+        args = dict(model_lo=model, model_hi=model, horizon=1.0, levels=levels, paths=16, seed=3)
     else:
         run = timechange_check
         args = dict(params=params, level=4, paths=16, seed=9)
@@ -498,20 +533,24 @@ def test_a_bad_path_count_is_named_before_any_grid_is_tabulated(monkeypatch, cir
         _run_small(name, cir_model, cir_params, paths=0, **level)
 
 
-@pytest.mark.parametrize("levels, ref_level", [((-1, 14), 18), (tuple(range(4, 24)), 27)])
+@pytest.mark.parametrize("levels, ref_level", [((-1, 14), 18), (tuple(range(4, 24)), 27), ((-1, 18), None)])
 def test_a_bad_level_anywhere_in_the_plan_is_named_before_any_grid_is_tabulated(
     monkeypatch, cir_model, levels, ref_level
 ):
-    """A negative studied level under a level-18 reference, and a reference
-    past the memory guard over levels up to 23, cost no table: every level
-    is checked before the first grid is built."""
+    """A negative studied level under a level-18 reference, a reference
+    past the memory guard over levels up to 23, and a negative level under
+    a level-18 comparison (ref_level None) cost no table: every level is
+    checked before the first grid is built."""
 
     def tabulate_nothing(self, times):
         raise AssertionError("a grid was tabulated before a bad level was refused")
 
     monkeypatch.setattr(CoefficientFn, "tabulate", tabulate_nothing)
     with pytest.raises(ValueError, match="^level "):
-        estimate_strong_error(**small_config(cir_model, levels=levels, ref_level=ref_level), workers=1)
+        if ref_level is None:
+            comparison_check(cir_model, cir_model, 1.0, levels, 16, 3, workers=1)
+        else:
+            estimate_strong_error(**small_config(cir_model, levels=levels, ref_level=ref_level), workers=1)
 
 
 def test_estimator_outputs_are_pinned(cir_model):
@@ -611,7 +650,7 @@ def test_timechange_and_comparison_outputs_are_pinned(workers):
     assert tc.dropped == 0
     hi = make_prototype(params)
     lo = make_prototype(dataclasses.replace(params, lam=0.25))
-    rep = comparison_check(lo, hi, 1.0, 7, MULTI_BLOCK_PATHS, 3, tolerance=1e-6, workers=workers)
+    [rep] = comparison_check(lo, hi, 1.0, (7,), MULTI_BLOCK_PATHS, 3, tolerance=1e-6, workers=workers)
     assert (rep.level, rep.paths, rep.dropped, rep.n_violating) == (7, 1200, 0, 14)
     assert rep.tolerance.hex() == "0x1.0c6f7a0b5ed8dp-20"
     assert rep.max_violation.hex() == "0x1.3b18d1c4cf27dp-5"
