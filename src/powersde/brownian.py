@@ -8,19 +8,15 @@ underlying path, which is what makes pathwise error measurement meaningful.
 Randomness contract
 -------------------
 Increment j of path p under master seed m comes from a counter-based Philox
-stream with the key that Philox(key=[m mod 2^64, p]) holds: the j-th 64-bit
-draw r_j is mapped to the open unit interval by u = fl(floor(r_j / 2^11) +
-1/2) * 2^-53, where fl rounds to float64, ties to even (so for r_j >= 2^63
-the sum is an even integer), and then through the inverse normal CDF, scaled
-by sqrt(T / 2^level).  The draws r_j >= 2^64 - 2^11, whose sum rounds to
-2^53, take u = 1 - 2^-53, the largest double below 1, instead.  numpy reads
-that key list as one array, so the key is (m mod 2^64, p) only while both
-words lie on the same side of 2^63.  Otherwise both pass through float64:
-for m >= 2^63 and p < 2^53 the key is (uint64(float64(m)), p), and master
-seeds that round to the same double (2^63, 2^63 + 1, 2^63 + 1000) share
-their streams.  Every value is a pure function of (m, p, j), so paths can be
-generated in any order, on any number of workers, with bit-identical
-results.
+stream keyed by (m mod 2^64, p mod 2^64): the j-th 64-bit draw r_j is mapped
+to the open unit interval by u = fl(floor(r_j / 2^11) + 1/2) * 2^-53, where
+fl rounds to float64, ties to even (so for r_j >= 2^63 the sum is an even
+integer), and then through the inverse normal CDF, scaled by
+sqrt(T / 2^level).  The draws r_j >= 2^64 - 2^11, whose sum rounds to 2^53,
+take u = 1 - 2^-53, the largest double below 1, instead.  No two pairs (m, p)
+in [0, 2^64)^2 share a key.  Every value is a pure function of (m, p, j), so
+paths can be generated in any order, on any number of workers, with
+bit-identical results.
 
 A keyed counter stream depends only on its key and counter, so a used
 generator re-keyed with a fresh state draws exactly what a new one would.
@@ -75,19 +71,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _through_float64(x: int) -> int:
-    """uint64(float64(x)), cast as numpy casts it."""
-    f = float(x)
-    return int(f) if f < 2.0**64 else int(np.array(f).astype(np.uint64))
-
-
-def _philox_key(m: int, p: int) -> tuple[int, int]:
-    """The key words of Philox(key=[m, p]), for m and p in [0, 2^64)."""
-    if m >> 63 == p >> 63:
-        return m, p
-    return _through_float64(m), _through_float64(p)
-
-
 def _fresh_state(key: tuple[int, int]) -> dict:
     """The state of a new Philox generator with this key: counter 0 and an
     empty buffer."""
@@ -138,7 +121,7 @@ class PathStreams:
         weakref.finalize(self, _SPARE.extend, self.generators).atexit = False
         key0 = master_seed & _MASK64
         for i, gen in enumerate(self.generators):
-            gen.state = _fresh_state(_philox_key(key0, (first_path + i) & _MASK64))
+            gen.state = _fresh_state((key0, (first_path + i) & _MASK64))
         self.n_steps = 1 << level
         self.scale = np.sqrt(horizon / self.n_steps)
         self.position = 0

@@ -21,8 +21,9 @@ __all__ = [
 
 
 def _is_scalar(t) -> bool:
-    """Whether t is a scalar time.  The Euler kernel passes a Python float
-    every step, so the type test runs first and np.ndim only for the rest."""
+    """Whether t is a scalar time.  CoefficientFn.tabulate passes a Python
+    float once per grid node, and so does the clock build's quadrature, so
+    the type test runs first and np.ndim only for the rest."""
     return type(t) is float or type(t) is int or np.ndim(t) == 0
 
 
@@ -75,7 +76,7 @@ class SinusoidalParam:
     omega: float
 
     def __call__(self, t):
-        if type(t) is float:  # the clock build's path: the same operations
+        if type(t) is float:  # a float from tabulation or quadrature: the same operations
             return float(self.p + self.q * np.sin(self.omega * t))
         out = self.p + self.q * np.sin(self.omega * np.asarray(t, dtype=float))
         return float(out) if _is_scalar(t) else out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -57,11 +59,11 @@ def test_stream_joined_over_chunks_equals_one_shot_sampling(lengths):
 
 
 def _fresh_lattice(seed, first_path, n_paths, level, horizon):
-    """The lattice the randomness contract defines, from a new
-    Philox(key=[seed mod 2^64, p]) per path."""
+    """The lattice the randomness contract defines, from a new Philox keyed
+    by (seed mod 2^64, p) per path."""
     cols = []
     for p in range(first_path, first_path + n_paths):
-        raw = Philox(key=[seed % (1 << 64), p]).random_raw(1 << level)
+        raw = Philox(key=np.array([seed % 2**64, p], dtype=np.uint64)).random_raw(1 << level)
         cols.append(ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53) * np.sqrt(horizon / (1 << level)))
     return np.stack(cols, axis=1)
 
@@ -69,15 +71,14 @@ def _fresh_lattice(seed, first_path, n_paths, level, horizon):
 @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
 def test_reused_generators_draw_what_fresh_ones_do(seed):
     """Streams built on generators that earlier streams used and dropped
-    partway equal new Philox(key=[m, p]) streams, read in chunks, on both
-    sides of 2^63 where numpy promotes the key list differently."""
+    partway equal new Philox streams keyed by (m, p), read in chunks, on
+    both sides of 2^63 and at the top of the seed range."""
     used = PathStreams(7, 0, 6, 7, 1.0)
     sample_increment_batch(used, 3)
     before = list(used.generators)
     del used
-    with np.errstate(invalid="ignore"):  # 2^64 - 1 rounds to 2^64, outside uint64
-        streams = PathStreams(seed, 9, 4, 7, 1.0)
-        expected = _fresh_lattice(seed, 9, 4, 7, 1.0)
+    streams = PathStreams(seed, 9, 4, 7, 1.0)
+    expected = _fresh_lattice(seed, 9, 4, 7, 1.0)
     assert any(g is h for g in streams.generators for h in before)
     chunks = [sample_increment_batch(streams, n).copy() for n in (1, 31, 64, 32)]
     np.testing.assert_array_equal(np.concatenate(chunks), expected)
@@ -103,15 +104,24 @@ def test_a_stream_dropped_partway_leaves_the_next_unchanged():
     np.testing.assert_array_equal(_lattice(12, 0, 8, 6, 1.0), expected)
 
 
-def test_master_seeds_that_round_to_one_double_share_streams():
-    """The key rule as it stands: with m >= 2^63 and p < 2^63 numpy reads
-    [m, p] through float64, so m keeps only its top 53 bits.  Below 2^63 the
-    key is exact.  A fix changes every lattice of such seeds."""
-    top = _lattice(2**63, 0, 2, 5, 1.0)
-    for seed in (2**63 + 1, 2**63 + 1000):
-        np.testing.assert_array_equal(_lattice(seed, 0, 2, 5, 1.0), top)
-    assert not np.array_equal(_lattice(2**63 + 4096, 0, 2, 5, 1.0), top)
-    assert not np.array_equal(_lattice(2**62, 0, 2, 5, 1.0), _lattice(2**62 + 1, 0, 2, 5, 1.0))
+def test_master_seeds_that_round_to_one_double_draw_distinct_lattices():
+    """The key is the seed itself, all 64 bits: seeds at and above 2^63
+    that round to one double, or to 2^64, never share a stream."""
+    seeds = (2**63, 2**63 + 1, 2**63 + 1000, 2**64 - 1)
+    lattices = [_lattice(seed, 0, 2, 5, 1.0) for seed in seeds]
+    for i, a in enumerate(lattices):
+        for b in lattices[i + 1 :]:
+            assert not np.any(a == b)
+
+
+def test_the_top_of_the_seed_range_casts_nothing_through_float():
+    """Seed 2^64 - 1 rounds to 2^64 as a double, which does not fit in a
+    uint64; the key must never take that cast."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = PathStreams(2**64 - 1, 0, 2, 3, 1.0)
+        lattice = sample_increment_batch(streams)
+    np.testing.assert_array_equal(lattice, _fresh_lattice(2**64 - 1, 0, 2, 3, 1.0))
 
 
 def test_increments_look_gaussian():

@@ -609,9 +609,9 @@ PINNED = {
         "q=-1 divergence_flag=false ref_level=8\n",
         {
             "out.csv": "q,estimate,stderr,ref_level,cap_hits,divergence_flag\n"
-            "-1,1.4072459884650617,0.086451659153829213,6,0,false\n"
-            "-1,1.4105395448746969,0.086536707685149455,7,0,false\n"
-            "-1,1.4130710305852143,0.087325682616225878,8,0,false\n",
+            "-1,1.5739136432200977,0.12849696813536665,6,0,false\n"
+            "-1,1.5362624618645204,0.11609960899414336,7,0,false\n"
+            "-1,1.5195940314035696,0.11304760077925813,8,0,false\n",
         },
     ),
     "feller-cir-exit": (
@@ -633,13 +633,13 @@ PINNED = {
     "timechange-sin": (
         "timechange",
         "[model]\ntheta = sin:1,0.5,6.283185307179586\n[experiment]\nlevels = 6\npaths = 600\nseed = 3\n",
-        "verdict=pass z_mean=-1.3510832883159021 z_var=-0.8143619247357472 "
+        "verdict=pass z_mean=-1.9832205356122579 z_var=-2.1840797101151623 "
         "threshold=3.2905267314919255 horizon_image=1.1249999999999991\n",
         {
             "out.csv": "verdict,z_mean,z_var,threshold,horizon_image,"
             "mean_original,mean_changed,var_original,var_changed\n"
-            "pass,-1.3510832883159021,-0.8143619247357472,3.2905267314919255,1.1249999999999991,"
-            "0.97203104346961477,1.0186839715284832,0.33955339421675068,0.3758398239707208\n",
+            "pass,-1.9832205356122579,-2.1840797101151623,3.2905267314919255,1.1249999999999991,"
+            "0.93473942472738014,0.99918425564734659,0.26882931343749283,0.36472726695514468\n",
         },
     ),
     "compare-ordered": (

@@ -113,6 +113,13 @@ class TestStrongError:
         assert r.paths == 256
         assert r.dropped == 0
 
+    def test_seeds_that_round_to_one_double_give_distinct_errors(self, cir_model):
+        """2^63 and 2^63 + 1 are one double; each keys its own paths."""
+        a, b = (
+            estimate_strong_error(cir_model, 1.0, (2, 3), 7, 16, seed, workers=1) for seed in (2**63, 2**63 + 1)
+        )
+        assert np.all(a.errors != b.errors)
+
     def test_report_arrays_are_frozen(self, cir_model):
         r = estimate_strong_error(**small_config(cir_model, levels=(4,), paths=32), workers=1)
         with pytest.raises(ValueError):
@@ -634,17 +641,19 @@ def test_inverse_moment_of_a_sigma_returning_its_x_is_pinned(workers):
 def test_timechange_and_comparison_outputs_are_pinned(workers):
     """Exact reports of a small clock-change and comparison run, with
     time-dependent kappa and theta, over three 512-path blocks, pinned from
-    the kernel that preceded fixed blocks, run with 512-path batches."""
+    the kernel that preceded fixed blocks, run with 512-path batches.  The
+    original sample's sub-seed is at least 2^63; its values come from the
+    key that holds all 64 bits of it."""
     theta = SinusoidalParam(1.0, 0.5, 2 * math.pi)
     params = PrototypeParams(kind="cir", kappa=AffineParam(1.0, 0.5), lam=1.0, theta=theta, x0=1.0)
     tc = timechange_check(params, 6, MULTI_BLOCK_PATHS, 9, workers=workers)
     assert tc.horizon_image.hex() == "0x1.1fffffffffffcp+0"
-    assert tc.mean_original.hex() == "0x1.0569fff9db68fp+0"
+    assert tc.mean_original.hex() == "0x1.fe56b43933cd7p-1"
     assert tc.mean_changed.hex() == "0x1.fc70b14508ad4p-1"
-    assert tc.var_original.hex() == "0x1.1b100733e4514p-2"
+    assert tc.var_original.hex() == "0x1.1c6f758e9911ap-2"
     assert tc.var_changed.hex() == "0x1.064a19b54d400p-2"
-    assert tc.z_mean.hex() == "0x1.557bdb0911405p+0"
-    assert tc.z_var.hex() == "0x1.ca75fd1129b66p-1"
+    assert tc.z_mean.hex() == "0x1.68044ef32262dp-3"
+    assert tc.z_var.hex() == "0x1.fb6b2ade857afp-1"
     assert tc.threshold.hex() == "0x1.a52ffadd2f906p+1"
     assert tc.passed is True
     assert tc.dropped == 0
