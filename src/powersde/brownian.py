@@ -52,7 +52,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 __all__ = ["PathStreams", "sample_increment_batch", "coarsen_increments", "derive_seed"]
 
@@ -136,8 +135,12 @@ def sample_increment_batch(streams: PathStreams, n_steps: Optional[int] = None, 
     and the step range, never on the batch layout or the chunking.  The raw
     draws of a few paths at a time (about STAGE_VALUES values) are mapped to
     increments in bulk and written, scaled, into their columns, so the
-    output is the only chunk-sized allocation.
+    output is the only chunk-sized allocation.  The inverse normal CDF,
+    scipy's ndtri, is imported by the first call, so a process that never
+    draws a path never loads scipy.
     """
+    from scipy.special import ndtri
+
     n_paths = len(streams.generators)
     left = streams.n_steps - streams.position
     if n_steps is None:

@@ -42,6 +42,10 @@ A process has one pool, started by the first call that needs two or more
 workers and reused by calls of the same size; its workers keep their Philox
 generators from call to call and only re-key them.  Tasks reach the workers
 through pickle; a task that does not pickle runs serially (_run_batches).
+The package does not import scipy; the first path draw loads its normal map
+(brownian.sample_increment_batch), and the pool start loads it just before
+it forks, so forked workers inherit the parent's copy instead of each
+importing it.
 
 Explosion policy
 ----------------
@@ -66,7 +70,6 @@ from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .brownian import PathStreams, coarsen_increments, derive_seed, sample_increment_batch
 from .criteria import build_timechange, time_changed_model
@@ -128,6 +131,8 @@ def _pool(size: int):
     if _POOL is not None and (_POOL[0] != key or not all(p.is_alive() for p in _POOL[2])):
         _close_pool()
     if _POOL is None:
+        import scipy.special  # noqa: F401  (loaded once here, inherited by forked workers)
+
         before = set(multiprocessing.active_children())
         pool = multiprocessing.get_context(_START_METHOD).Pool(size)
         _POOL = (key, pool, [p for p in multiprocessing.active_children() if p not in before])
@@ -814,6 +819,15 @@ def _endpoint_moments(model, horizon, level, paths, seed, workers, on_explosion)
     return m, mean, m2, m4
 
 
+def _z(diff: float, se: float) -> float:
+    """The z statistic diff / se.  With se = 0 the samples show no spread,
+    so z is 0 only when the two statistics are equal and otherwise an
+    infinity of diff's sign, which no threshold passes."""
+    if se > 0.0:
+        return diff / se
+    return math.copysign(math.inf, diff) if diff else 0.0
+
+
 def timechange_check(
     params: PrototypeParams,
     level: int,
@@ -843,12 +857,12 @@ def timechange_check(
         changed, tc.horizon_image, level, paths, derive_seed(seed, "changed"), workers, on_explosion
     )
 
-    se_mean = math.sqrt(var_x / m_x + var_y / m_y)
-    z_mean = (mean_x - mean_y) / se_mean if se_mean > 0.0 else 0.0
+    from scipy.special import ndtri
+
+    z_mean = _z(mean_x - mean_y, math.sqrt(var_x / m_x + var_y / m_y))
     var_of_var_x = max(m4_x - var_x**2, 0.0) / m_x
     var_of_var_y = max(m4_y - var_y**2, 0.0) / m_y
-    se_var = math.sqrt(var_of_var_x + var_of_var_y)
-    z_var = (var_x - var_y) / se_var if se_var > 0.0 else 0.0
+    z_var = _z(var_x - var_y, math.sqrt(var_of_var_x + var_of_var_y))
     threshold = float(ndtri(1.0 - significance / 2.0))
     passed = abs(z_mean) <= threshold and abs(z_var) <= threshold
     return TimeChangeReport(

@@ -237,6 +237,12 @@ class TestTimechange:
         cfg = write_ini(tmp_path, "[model]\nkind = custom\ndrift = zero\nsigma = one\n")
         assert run(["timechange", "--config", cfg]) == 3
 
+    def test_one_path_per_sample_fails(self, capsys):
+        """One path per sample gives a zero standard error; the two means
+        differ, so the verdict is fail."""
+        assert run(["timechange", "--paths", "1", "--workers", "1"]) == 0
+        assert capsys.readouterr().out.startswith("verdict=fail z_mean=-inf z_var=0 ")
+
 
 class TestCompare:
     def test_identical_models_have_no_violations(self, tmp_path, capsys):

@@ -370,6 +370,16 @@ class TestTimeChangeCheck:
         rep = timechange_check(cir_params, 6, 500, 9, significance=0.05)
         assert rep.threshold == pytest.approx(1.959964, abs=1e-5)
 
+    def test_a_zero_standard_error_passes_only_equal_statistics(self, cir_params):
+        """With one path per sample both variances are 0, so both standard
+        errors are.  The means differ, so z_mean is infinite and the check
+        fails; the variances agree, so z_var is 0."""
+        rep = timechange_check(cir_params, 4, 1, 11, workers=1)
+        assert rep.var_original == rep.var_changed == 0.0
+        assert rep.mean_original > rep.mean_changed
+        assert (rep.z_mean, rep.z_var, rep.passed) == (math.inf, 0.0, False)
+        assert montecarlo._z(-1e-300, 0.0) == -math.inf and montecarlo._z(0.0, 0.0) == 0.0
+
 
 class TestWrightFisherContainment:
     def test_paths_never_leave_the_widened_interval(self, wf_model):

@@ -1,10 +1,17 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import powersde
-from powersde import cli, quadrature
+from powersde import cli, montecarlo, quadrature
+
+SRC = Path(powersde.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -40,3 +47,102 @@ def test_every_name_the_span_tracer_patches_exists():
 
     assert cli._COMMANDS and all(isinstance(name, str) and callable(fn) for name, fn in cli._COMMANDS.items())
     assert callable(quadrature.CumulativeTable.inverse)
+
+
+def _import_time_nodes(nodes):
+    """Every node that runs when its module is imported: all of them but
+    function bodies."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _import_time_nodes(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """scipy is most of the package's import time and only path draws and
+    the clock-change threshold use it, so those import it where they run."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def _fresh_python(script, cwd=None):
+    """The stdout lines of script run by a fresh interpreter that imports
+    this package's source."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    script = (
+        "import sys\n"
+        "import powersde\n"
+        "print('scipy' in sys.modules)\n"
+        "import powersde.cli\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(script) == ["False", "False"]
+
+
+def test_runs_that_draw_no_path_leave_scipy_unloaded(tmp_path):
+    """The analytic subcommands, every dry run and a refused run never load
+    scipy."""
+    (tmp_path / "moments.ini").write_text("[condition]\nq = -1\n")
+    runs = [
+        (["predict"], 0),
+        (["feller", "--out", "feller.csv"], 0),
+        (["ito", "--out", "ito.csv"], 0),
+        (["converge", "--dry-run"], 0),
+        (["moments", "--config", "moments.ini", "--dry-run"], 0),
+        (["compare", "--dry-run"], 0),
+        (["moments"], 3),
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from powersde import cli\n"
+        f"for argv, _ in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'scipy' in sys.modules)\n"
+    )
+    assert _fresh_python(script, cwd=tmp_path) == [f"{argv[0]} {code} False" for argv, code in runs]
+
+
+@pytest.mark.skipif(montecarlo._START_METHOD != "fork", reason="only forked workers inherit the parent's modules")
+def test_forked_workers_inherit_the_normal_map():
+    """The first pool of a process forks after scipy.special is loaded, so
+    its workers need not import it."""
+    script = (
+        "import sys\n"
+        "from functools import partial\n"
+        "from powersde import montecarlo\n"
+        "def loaded(name, i):\n"
+        "    return name in sys.modules\n"
+        "print('scipy' in sys.modules)\n"
+        "print(montecarlo._run_batches(partial(loaded, 'scipy.special'), 2, 2))\n"
+    )
+    assert _fresh_python(script) == ["False", "[True, True]"]
+
+
+def test_a_first_pooled_run_writes_the_serial_bytes(tmp_path):
+    """A 2-worker converge run that is the first draw of its process, then a
+    serial one: the same CSV."""
+    (tmp_path / "run.ini").write_text("[experiment]\nlevels = 3:5\nref_level = 9\npaths = 1200\nseed = 7\n")
+    script = (
+        "from powersde import cli\n"
+        "for out, workers in (('pooled.csv', '2'), ('serial.csv', '1')):\n"
+        "    assert cli.main(['converge', '--config', 'run.ini', '--out', out, '--workers', workers]) == 0\n"
+    )
+    _fresh_python(script, cwd=tmp_path)
+    pooled = (tmp_path / "pooled.csv").read_bytes()
+    assert pooled.startswith(b"level,N,dt") and pooled == (tmp_path / "serial.csv").read_bytes()
