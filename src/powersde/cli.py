@@ -51,6 +51,7 @@ from .config import (
 )
 from .criteria import _constants, autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
+from .models import KINDS
 from .montecarlo import (
     _check, _check_pair, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error,
     timechange_check,
@@ -111,7 +112,8 @@ def _moment_rules(cfg: RunConfig, command: str) -> None:
 
 def _prototype(cfg: RunConfig, command: str) -> None:
     if cfg.prototype is None:
-        raise ConfigError(f"{command} requires a prototype model (kind cir, wf or ckls)")
+        *kinds, last = KINDS
+        raise ConfigError(f"{command} requires a prototype model (kind {', '.join(kinds)} or {last})")
 
 
 def _rate_rules(cfg: RunConfig, command: str) -> None:

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import CoefficientFn, PrototypeParams, SdeModel, _check_horizon, make_prototype
+from .models import KINDS, CoefficientFn, PrototypeParams, SdeModel, _check_horizon, make_prototype
 from .montecarlo import BLOCK_PATHS, _check
 from .params import AffineParam, ConstantParam, SinusoidalParam
 from .schemes import _check_grid
@@ -218,17 +218,11 @@ KEYS = {
     },
     "output": {"out": ("", _path), "plot": ("", _path)},
 }
-_PROTOTYPE_KEYS = {
-    "kappa": ("1.0", parse_param_spec),
-    "lam": ("1.0", parse_param_spec),
-    "theta": ("1.0", parse_param_spec),
-    "x0": ("1.0", parse_number),
-    "gamma": ("0.5", parse_number),
-}
+_PARAM_KEYS = {key: ("1.0", parse_param_spec) for key in ("kappa", "lam", "theta")}
+# a prototype kind's x0 and gamma default to its KINDS entry, and a gamma of None is required
 KIND_KEYS = {
-    "cir": _PROTOTYPE_KEYS,
-    "wf": {**_PROTOTYPE_KEYS, "x0": ("0.5", parse_number)},
-    "ckls": {**_PROTOTYPE_KEYS, "gamma": (None, parse_number)},
+    **{name: {**_PARAM_KEYS, "x0": (str(k.x0), parse_number), "gamma": (k.gamma and str(k.gamma), parse_number)}
+       for name, k in KINDS.items()},
     "custom": {
         "drift": (None, _coefficient),
         "sigma": (None, _coefficient),
@@ -330,7 +324,7 @@ def apply_overrides(raw: dict, **overrides) -> dict:
 def _model(section: str, v: dict, horizon: float):
     """Build (SdeModel, PrototypeParams|None) from a model block's values."""
     try:
-        if v["kind"] == "custom":
+        if v["kind"] not in KINDS:
             return SdeModel(
                 drift=BUILTIN_COEFFICIENTS[v["drift"]],
                 base_sigma=BUILTIN_COEFFICIENTS[v["sigma"]],

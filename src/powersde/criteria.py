@@ -20,11 +20,9 @@ scheme be expected to reach for this model" from a different angle:
   scale theta(t) by the clock change int theta^2, producing an autonomous-
   scale model whose endpoint law must match the original's.
 
-autonomous_from_prototype and time_changed_model take each kind's state
-space from models.KINDS and its diffusion scale from PrototypeParams.scale.
-time_changed_model also takes the clamped state factor from there;
-autonomous_from_prototype writes sigma, sigma' and sigma'' itself, unclamped
-(for wf, sigma = scale * x * (1 - x), an order the ito bytes depend on).
+Every fact about a prototype kind comes from its models.KINDS entry: its
+ends and their inward drifts, its unclamped sigma, sigma' and sigma'', and
+its clamped shape; the diffusion scale is PrototypeParams.scale.
 
 Improper integrals and limits are classified by their trend over geometric
 refinements toward the endpoint, never by one magic evaluation; knife-edge
@@ -113,27 +111,26 @@ def predict_rate(params: PrototypeParams) -> RatePrediction:
     mu0 = min_t kappa(t) lam(t) / theta(t)^2 is the inward drift at 0 in
     diffusion units; the two-sided state space adds
     mu1 = min_t kappa(t) (1 - lam(t)) / theta(t)^2 at the upper end.  The
-    supremum of provable orders is min(1/2, mu0) for cir, min(1/2, mu0, mu1)
-    for wf, and 1/2 for ckls.  Positive mu values are a hypothesis; when they
-    fail there is no prediction and the violated ratio is named.
+    supremum of provable orders is the kind's fixed rate, else min(1/2, mu0,
+    mu1).  Positive mu values are a hypothesis; when they fail there is no
+    prediction and the violated ratio is named.
     """
     kappa, lam, theta = params.kappa, params.lam, params.theta
-    # the inward drift factor at each end: lam(t) at 0, and 1 - lam(t) at 1 for wf
-    inward = [lam, lambda t: 1.0 - lam(t)] if params.kind == "wf" else [lam]
+    spec = KINDS[params.kind]
     mus = []
-    for part in inward:
+    for inward in spec.inward:
 
         def ratio(t):
             th = theta(t)
-            return kappa(t) * part(t) / (th * th)
+            return kappa(t) * inward(lam(t)) / (th * th)
 
         mus.append(_refined_min(ratio, params.horizon))
         if not mus[-1] > 0.0:
             raise HypothesisError(f"mu{len(mus) - 1} <= 0 (got {mus[-1]:.6g}); no order prediction applies")
     mu0, mu1 = (*mus, None)[:2]
 
-    if params.kind == "ckls":
-        lambda_sup, provenance = 0.5, "ckls-rate"
+    if spec.rate is not None:
+        lambda_sup, provenance = spec.rate, f"{params.kind}-rate"
     else:
         lambda_sup, provenance = min(0.5, *mus), f"{params.kind}-boundary-rate"
 
@@ -211,28 +208,11 @@ def autonomous_from_prototype(params: PrototypeParams) -> AutonomousModel:
     the criteria only ever evaluate strictly inside the domain.
     """
     kap, lam, theta = _constants(params)
-    scale = params.scale(theta)
-
-    def a(x):
-        return kap * (lam - x)
-
-    if params.kind == "wf":
-        # scale x (1 - x), in this order: the rounding of g's infimum depends on it
-        sigma = lambda x: scale * np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))
-        sigma_prime = lambda x: scale * (1.0 - 2.0 * np.asarray(x, dtype=float))
-        sigma_prime2 = lambda x: -2.0 * scale + 0.0 * np.asarray(x, dtype=float)
-    else:
-        sigma = lambda x: scale * np.asarray(x, dtype=float)
-        sigma_prime = lambda x: scale + 0.0 * np.asarray(x, dtype=float)
-        sigma_prime2 = lambda x: 0.0 * np.asarray(x, dtype=float)
+    spec = KINDS[params.kind]
+    sigma, sigma_prime, sigma_prime2 = spec.interior(params.scale(theta))
     return AutonomousModel(
-        a=a,
-        sigma=sigma,
-        sigma_prime=sigma_prime,
-        sigma_prime2=sigma_prime2,
-        gamma=params.gamma,
-        domain=KINDS[params.kind][0],
-        x0=params.x0,
+        a=lambda x: kap * (lam - x), sigma=sigma, sigma_prime=sigma_prime, sigma_prime2=sigma_prime2,
+        gamma=params.gamma, domain=spec.domain, x0=params.x0,
     )
 
 
@@ -324,20 +304,26 @@ def ito_criterion(model: AutonomousModel) -> CriterionReport:
     order below 1/2 is attainable); g falling to -infinity toward an endpoint
     means this criterion, by itself, certifies nothing.  The verdict comes
     from the trend of g over the last TREND_WINDOW points of a geometric
-    sequence approaching each end from x0, at most MAX_REFINE points long:
-    it falls past G_DIVERGED, or it is stable (bounded).  g is also taken at
+    sequence approaching each end from x0, at most MAX_REFINE points long
+    and cut where the next point rounds onto a finite end: it falls past
+    G_DIVERGED, or it is stable (bounded).  g is also taken at
     INTERIOR_POINTS points between the first points of both sequences.
     """
     origin = model.x0
     vals = ([], [])
     trends = ["inconclusive", "inconclusive"]
+    # a side runs until its trend settles or its next point rounds onto the end;
+    # in the second case the trend stays inconclusive
+    live = [True, True]
     for m in range(1, MAX_REFINE + 1):
         for side, end in enumerate(model.domain):
-            if trends[side] == "inconclusive":
-                x = _endpoint_sequence(origin, end, m)
+            x = _endpoint_sequence(origin, end, m)
+            live[side] = live[side] and x != end
+            if live[side]:
                 vals[side].append(float(_g_function(model, np.asarray([x]))[0]))
                 trends[side] = _trend(vals[side])
-        if "inconclusive" not in trends:
+                live[side] = trends[side] == "inconclusive"
+        if not any(live):
             break
 
     span_lo, span_hi = (_endpoint_sequence(origin, end, 1) for end in model.domain)
@@ -595,15 +581,15 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
     base coefficient drops its theta factor entirely; the endpoint law of the
     result at Theta(T) must agree with the original's at T.
     """
-    domain, shape = KINDS[params.kind]
+    spec = KINDS[params.kind]
     # the clock inversion is time-only, so the Euler kernel runs it once per
     # grid node when it tabulates the drift, never once per step
     return SdeModel(
         drift=CoefficientFn(_changed_drift, time=partial(_changed_drift_time, tc, params)),
-        base_sigma=CoefficientFn(partial(_shape_only, shape)),
+        base_sigma=CoefficientFn(partial(_shape_only, spec.shape)),
         gamma=params.gamma,
         x0=params.x0,
-        domain=domain,
+        domain=spec.domain,
         name=f"{params.kind}-timechanged",
     )
 

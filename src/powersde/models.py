@@ -136,12 +136,38 @@ def _unit_interval_part(x):
     return np.maximum(x * (1.0 - x), 0.0)
 
 
-# The prototype family, one entry per kind: the state space and the clamped
-# state factor shape(x) of the base coefficient sigma = scale(theta) shape(x).
+def _line(scale):
+    return (lambda x: scale * np.asarray(x, dtype=float),
+            lambda x: scale + 0.0 * np.asarray(x, dtype=float),
+            lambda x: 0.0 * np.asarray(x, dtype=float))
+
+
+def _arch(scale):
+    # scale x (1 - x), in this order: the rounding of ito's infimum depends on it
+    return (lambda x: scale * np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
+            lambda x: scale * (1.0 - 2.0 * np.asarray(x, dtype=float)),
+            lambda x: -2.0 * scale + 0.0 * np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One prototype kind, whose base coefficient is sigma = scale(theta) shape(x)."""
+
+    domain: tuple[float, float]  # the state space
+    shape: Callable  # x -> the clamped state factor; module-level, so models pickle
+    interior: Callable  # scale -> the unclamped sigma, sigma', sigma'' inside the domain, each x -> value
+    gamma: Optional[float]  # the fixed exponent, or None: given, in (1/2, 1)
+    inward: tuple[Callable, ...]  # lam -> the inward drift factor, one per degenerate end
+    rate: Optional[float]  # the order that holds whatever those drifts are, if any
+    x0: float  # the configuration default
+
+
+_AT_0 = (lambda lam: lam,)
+_AT_0_AND_1 = (*_AT_0, lambda lam: 1.0 - lam)
 KINDS = {
-    "cir": ((0.0, math.inf), _positive_part),
-    "wf": ((0.0, 1.0), _unit_interval_part),
-    "ckls": ((0.0, math.inf), _positive_part),
+    "cir": Kind((0.0, math.inf), _positive_part, _line, gamma=0.5, inward=_AT_0, rate=None, x0=1.0),
+    "wf": Kind((0.0, 1.0), _unit_interval_part, _arch, gamma=0.5, inward=_AT_0_AND_1, rate=None, x0=0.5),
+    "ckls": Kind((0.0, math.inf), _positive_part, _line, gamma=None, inward=_AT_0, rate=0.5, x0=1.0),
 }
 
 
@@ -155,9 +181,9 @@ class PrototypeParams:
     """Parameters for the three named prototype models.
 
     kind is one of the keys of KINDS.  kappa, lam, theta accept numbers or
-    members of the params family.  gamma is the diffusion exponent: given
-    for "ckls" only, in (1/2, 1), and 1/2 for the other kinds.  horizon,
-    finite and positive, is the interval on which theta must stay positive.
+    members of the params family.  gamma is the diffusion exponent, fixed
+    or given as KINDS[kind].gamma says.  horizon, finite and positive, is
+    the interval on which theta must stay positive.
     """
 
     kind: str
@@ -175,12 +201,13 @@ class PrototypeParams:
         object.__setattr__(self, "lam", as_param(self.lam))
         object.__setattr__(self, "theta", as_param(self.theta))
         _check_horizon(self.horizon)
-        if self.kind == "ckls":
+        fixed = KINDS[self.kind].gamma
+        if fixed is None:
             if self.gamma is None or not 0.5 < self.gamma < 1.0:
-                raise ValueError("ckls requires gamma in (1/2, 1)")
-        elif self.gamma is not None and self.gamma != 0.5:
+                raise ValueError(f"{self.kind} requires gamma in (1/2, 1)")
+        elif self.gamma is not None and self.gamma != fixed:
             raise ValueError(f"{self.kind} has gamma fixed at 1/2")
-        object.__setattr__(self, "gamma", 0.5 if self.gamma is None else float(self.gamma))
+        object.__setattr__(self, "gamma", fixed if self.gamma is None else float(self.gamma))
 
     def scale(self, th):
         """The diffusion scale at a value th of theta: th^(1/gamma), so that
@@ -199,27 +226,20 @@ def _theta_positive(theta, horizon: float) -> None:
 def make_prototype(params: PrototypeParams) -> SdeModel:
     """Build the SdeModel for one of the named prototypes.
 
-    Drift is kappa(t) (lam(t) - x) in every case.  The base coefficient is
-    sigma(t, x) = params.scale(theta(t)) shape(x), with the kind's shape:
-
-        cir   sigma(t,x) = theta(t)^2 max(x, 0)            gamma = 1/2
-        wf    sigma(t,x) = theta(t)^2 max(x (1 - x), 0)    gamma = 1/2
-        ckls  sigma(t,x) = theta(t)^{1/gamma} max(x, 0)    gamma in (1/2, 1)
-
-    so that sigma^gamma reproduces theta sqrt(x+), theta sqrt((x(1-x))+),
-    and theta (x+)^gamma respectively.  Storing the 1/gamma power for the
-    elasticity family keeps a single c = sigma^gamma code path; theta is
-    bounded away from zero so the reparametrization stays 1/2-Hoelder.
+    Drift is kappa(t) (lam(t) - x), and the base coefficient is
+    sigma(t, x) = params.scale(theta(t)) shape(x) with the kind's shape from
+    KINDS, so sigma^gamma = theta shape^gamma; theta is bounded away from
+    zero so the 1/gamma power stays 1/2-Hoelder.
     """
-    domain, shape = KINDS[params.kind]
+    spec = KINDS[params.kind]
     _theta_positive(params.theta, params.horizon)
     # module-level functions bound by partial, so a model pickles
     return SdeModel(
         drift=CoefficientFn(_mean_reverting, time=partial(_drift_time, params.kappa, params.lam)),
-        base_sigma=CoefficientFn(partial(_scaled_shape, shape), time=partial(_sigma_time, params)),
+        base_sigma=CoefficientFn(partial(_scaled_shape, spec.shape), time=partial(_sigma_time, params)),
         gamma=params.gamma,
         x0=float(params.x0),
-        domain=domain,
+        domain=spec.domain,
         name=params.kind,
     )
 

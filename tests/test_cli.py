@@ -221,6 +221,13 @@ class TestIto:
         assert run(["ito", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("classification=diverging")
 
+    def test_wf_whose_approach_rounds_onto_one_reports(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[model]\nkind = wf\nkappa = 8\nlam = 0.5\n")
+        assert run(["ito", "--config", cfg]) == 0
+        # g is bounded below (kappa lam and kappa (1 - lam) >= theta^2), or the trend cannot tell
+        verdict = capsys.readouterr().out.split()[0]
+        assert verdict in ("classification=bounded-below", "classification=inconclusive")
+
 
 class TestTimechange:
     def test_constant_theta_passes(self, tmp_path, capsys):

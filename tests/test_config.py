@@ -291,7 +291,7 @@ def test_model_defaults_are_pinned(section, kind, x0, gamma):
         return
     # kappa = lam = theta = 1: drift 1 - x and sigma the kind's bare shape
     assert list(model.drift(0.5, xs)) == list(1.0 - xs)
-    assert list(model.base_sigma(0.5, xs)) == list(KINDS[kind][1](xs))
+    assert list(model.base_sigma(0.5, xs)) == list(KINDS[kind].shape(xs))
     if section == "model":
         p = cfg.prototype
         assert (p.kappa, p.lam, p.theta, p.x0, p.gamma, p.horizon) == (

@@ -185,6 +185,19 @@ class TestItoCriterion:
         assert report.classification == "bounded-below"
         assert report.inf_estimate == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "kappa,lam", [(2.5, 0.5), (4.0, 0.5), (8.0, 0.5), (4.0, 0.25), (4.0, 0.2), (2.0, 0.05)]
+    )
+    def test_wf_reports_where_the_approach_rounds_onto_one(self, kappa, lam):
+        """The approach to 1 from x0 = 0.5 reaches 1.0 in floating point at
+        its 53rd point, before MAX_REFINE; that side stops there.  g is
+        bounded below iff kappa lam >= theta^2 and kappa (1 - lam) >= theta^2."""
+        p = PrototypeParams(kind="wf", kappa=kappa, lam=lam, theta=1.0, x0=0.5)
+        report = ito_criterion(autonomous_from_prototype(p))
+        bounded = kappa * lam >= 1.0 and kappa * (1.0 - lam) >= 1.0
+        closed_form = "bounded-below" if bounded else "diverging-to-neg-infinity"
+        assert report.classification in (closed_form, "inconclusive")
+
     def test_elliptic_model_agrees_with_rate_prediction(self):
         """A diffusion bounded away from zero needs no compensation."""
         m = AutonomousModel(

@@ -74,6 +74,35 @@ def test_no_module_imports_scipy_at_import_time():
     assert found == []
 
 
+def _names_a_kind(node):
+    """kind, something.kind or something["kind"]."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == "kind"
+    return getattr(node, "id", None) == "kind" or getattr(node, "attr", None) == "kind"
+
+
+def _is_text(node):
+    """A string literal, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_is_text(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_no_module_but_models_branches_on_a_kind_name():
+    """Every fact about a prototype kind is declared in models.KINDS, so no
+    other module compares a kind with a literal name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_names_a_kind, operands)) and any(map(_is_text, operands)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _fresh_python(script, cwd=None):
     """The stdout lines of script run by a fresh interpreter that imports
     this package's source."""
