@@ -10,9 +10,10 @@ Subcommands map one-to-one onto the estimators and criteria:
     timechange  clock-change distribution check          -> stdout line (+ --out table)
     compare     pathwise ordering of two models          -> stdout lines (+ --out table)
 
-Results are named fields: ``_record`` writes every ``key=value`` line (the
-stdout lines and converge's ``#`` footer) and ``_write_table`` every CSV.
-Floats carry 17 significant digits, so files round-trip.
+A subcommand returns its records: stdout lines as named fields and tables as
+(path, columns, footer).  main is the one writer: ``_write_table`` writes each
+table with a path, then ``_record`` prints each line (and renders converge's
+``#`` footer).  Floats carry 17 significant digits, so files round-trip.
 
 Every subcommand takes ``--config FILE`` plus overrides (``--paths``,
 ``--seed``, ``--levels a:b``, ``--ref-level``, ``--out``), ``--workers``
@@ -28,6 +29,8 @@ prototype model for predict and timechange, one with constant parameters
 for feller and ito, positive drift ratios for predict and the comparison
 hypotheses for compare).  --dry-run returns only after both, so it refuses
 what the run refuses before simulating, with the same message and exit code.
+Each rule hands its command what it checked: predict's rate prediction, the
+autonomous model of feller and ito, timechange's prototype, compare's hi model.
 
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
@@ -49,9 +52,9 @@ from .brownian import derive_seed
 from .config import (
     OVERRIDES, RunConfig, _checked, apply_overrides, format_resolved, load_config, parse_number, resolve_config,
 )
-from .criteria import _constants, autonomous_from_prototype, feller_test, ito_criterion, predict_rate
+from .criteria import AutonomousModel, RatePrediction, autonomous_from_prototype, feller_test, ito_criterion, predict_rate
 from .errors import ConfigError, HypothesisError, InvalidCoefficientError, SimulationAbort
-from .models import KINDS
+from .models import KINDS, PrototypeParams, SdeModel
 from .montecarlo import (
     _check, _check_pair, _check_ref_gap, comparison_check, estimate_inverse_moment, estimate_strong_error,
     timechange_check,
@@ -85,8 +88,11 @@ def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> Non
     lines += [",".join(_fmt(v) for v in row) for row in zip(*columns.values(), strict=True)]
     if footer is not None:
         lines.append("# " + _record(footer))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:  # one config._path could not foresee, an unwritable directory say
+        raise ConfigError(f"[output]: cannot write {path!r} ({exc.strerror or exc})")
 
 
 def _resolve_workers(flag: Optional[str]) -> Optional[int]:
@@ -110,25 +116,26 @@ def _moment_rules(cfg: RunConfig, command: str) -> None:
     _checked("[experiment] ref_level", _check, ref_level=cfg.ref_level)
 
 
-def _prototype(cfg: RunConfig, command: str) -> None:
+def _prototype(cfg: RunConfig, command: str) -> PrototypeParams:
     if cfg.prototype is None:
         *kinds, last = KINDS
         raise ConfigError(f"{command} requires a prototype model (kind {', '.join(kinds)} or {last})")
+    return cfg.prototype
 
 
-def _rate_rules(cfg: RunConfig, command: str) -> None:
-    _prototype(cfg, command)
-    predict_rate(cfg.prototype)
+def _rate_rules(cfg: RunConfig, command: str) -> RatePrediction:
+    return predict_rate(_prototype(cfg, command))
 
 
-def _pair_rules(cfg: RunConfig, command: str) -> None:
-    _check_pair(cfg.model, cfg.model_hi if cfg.model_hi is not None else cfg.model, cfg.horizon)
+def _pair_rules(cfg: RunConfig, command: str) -> SdeModel:
+    model_hi = cfg.model_hi if cfg.model_hi is not None else cfg.model
+    _check_pair(cfg.model, model_hi, cfg.horizon)
+    return model_hi
 
 
-def _autonomous(cfg: RunConfig, command: str) -> None:
-    _prototype(cfg, command)
+def _autonomous(cfg: RunConfig, command: str) -> AutonomousModel:
     try:
-        _constants(cfg.prototype)
+        return autonomous_from_prototype(_prototype(cfg, command))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -145,10 +152,10 @@ _RULES = {
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (lines, tables) for main to write
 
 
-def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None):
     """Strong error curve and fitted order."""
     report = estimate_strong_error(
         cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, derive_seed(cfg.seed, "converge"),
@@ -179,20 +186,13 @@ def cmd_converge(cfg: RunConfig, workers: Optional[int]) -> int:
         "stderr": report.stderrs,
         "argmax_k": report.argmax_nodes,
     }
-    _write_table(cfg.out or "errors.csv", columns, footer=fit)
-
-    if cfg.plot:
-        kept = [i for i, err in enumerate(report.errors) if err > 0.0]
-        plot = {"log2N": [levels[i] for i in kept], "log2err": [math.log2(report.errors[i]) for i in kept]}
-        _write_table(cfg.plot, plot)
-
-    print(_record(fit))
-    return 0
+    kept = [i for i, err in enumerate(report.errors) if err > 0.0]
+    plot = {"log2N": [levels[i] for i in kept], "log2err": [math.log2(report.errors[i]) for i in kept]}
+    return [fit], [(cfg.out or "errors.csv", columns, fit), (cfg.plot, plot, None)]
 
 
-def cmd_predict(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_predict(cfg: RunConfig, workers: Optional[int], pred: RatePrediction):
     """Boundary-drift rate prediction."""
-    pred = predict_rate(cfg.prototype)
     fields = {
         "mu0": pred.mu0,
         "mu1": pred.mu1,
@@ -202,11 +202,10 @@ def cmd_predict(cfg: RunConfig, workers: Optional[int]) -> int:
     }
     if pred.mu1 is None:  # a one-sided model has no right boundary ratio
         del fields["mu1"]
-    print(_record(fields))
-    return 0
+    return [fields], []
 
 
-def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_moments(cfg: RunConfig, workers: Optional[int], checked: None):
     """Inverse-moment divergence diagnostic."""
     est = estimate_inverse_moment(
         cfg.model,
@@ -228,14 +227,13 @@ def cmd_moments(cfg: RunConfig, workers: Optional[int]) -> int:
         "cap_hits": est.cap_hits,
         "divergence_flag": [est.divergence_flag] * len(est.ref_levels),
     }
-    _write_table(cfg.out or "moments.csv", columns)
-    print(_record({"q": est.q, "divergence_flag": est.divergence_flag, "ref_level": est.ref_levels[-1]}))
-    return 0
+    fields = {"q": est.q, "divergence_flag": est.divergence_flag, "ref_level": est.ref_levels[-1]}
+    return [fields], [(cfg.out or "moments.csv", columns, None)]
 
 
-def cmd_feller(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_feller(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
     """Boundary classification (Feller test)."""
-    result = feller_test(autonomous_from_prototype(cfg.prototype))
+    result = feller_test(model)
     fields = {
         "conclusion": result.conclusion,
         "left": result.left.classification,
@@ -243,35 +241,29 @@ def cmd_feller(cfg: RunConfig, workers: Optional[int]) -> int:
         "v_left": result.left.v_estimate,
         "v_right": result.right.v_estimate,
     }
-    print(_record(fields))
-    if cfg.out:
-        probes = (result.left, result.right)
-        columns = {
-            "side": [probe.side for probe in probes for _ in probe.v_values],
-            "segment": [j for probe in probes for j in range(len(probe.v_values))],
-            "v": [v for probe in probes for v in probe.v_values],
-        }
-        _write_table(cfg.out, columns)
-    return 0
+    probes = (result.left, result.right)
+    columns = {
+        "side": [probe.side for probe in probes for _ in probe.v_values],
+        "segment": [j for probe in probes for j in range(len(probe.v_values))],
+        "v": [v for probe in probes for v in probe.v_values],
+    }
+    return [fields], [(cfg.out, columns, None)]
 
 
-def cmd_ito(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_ito(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
     """Drift/curvature boundedness criterion."""
-    report = ito_criterion(autonomous_from_prototype(cfg.prototype))
+    report = ito_criterion(model)
     row = {key: getattr(report, key) for key in ("classification", "inf_estimate", "left_trend", "right_trend")}
     fields = dict(row)
     if report.s_exponent is not None:  # bounded below: the criterion gives a rate
         fields.update(s=report.s_exponent, lambda_sup=report.lambda_sup)
-    print(_record(fields))
-    if cfg.out:
-        _write_table(cfg.out, {key: [value] for key, value in row.items()})
-    return 0
+    return [fields], [(cfg.out, {key: [value] for key, value in row.items()}, None)]
 
 
-def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_timechange(cfg: RunConfig, workers: Optional[int], prototype: PrototypeParams):
     """Clock-change distribution check."""
     report = timechange_check(
-        cfg.prototype,
+        prototype,
         max(cfg.levels),
         cfg.paths,
         derive_seed(cfg.seed, "timechange"),
@@ -286,34 +278,29 @@ def cmd_timechange(cfg: RunConfig, workers: Optional[int]) -> int:
         "threshold": report.threshold,
         "horizon_image": report.horizon_image,
     }
-    print(_record(fields))
-    if cfg.out:
-        moments = ("mean_original", "mean_changed", "var_original", "var_changed")
-        row = {**fields, **{key: getattr(report, key) for key in moments}}
-        _write_table(cfg.out, {key: [value] for key, value in row.items()})
-    return 0
+    moments = ("mean_original", "mean_changed", "var_original", "var_changed")
+    row = {**fields, **{key: getattr(report, key) for key in moments}}
+    return [fields], [(cfg.out, {key: [value] for key, value in row.items()}, None)]
 
 
-def cmd_compare(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_compare(cfg: RunConfig, workers: Optional[int], model_hi: SdeModel):
     """Pathwise ordering of two models."""
-    model_hi = cfg.model_hi if cfg.model_hi is not None else cfg.model
     reports = comparison_check(
         cfg.model, model_hi, cfg.horizon, cfg.levels, cfg.paths, derive_seed(cfg.seed, "compare"),
         tolerance=cfg.tolerance, on_explosion=cfg.on_explosion, workers=workers,
     )
-    for rep in reports:
-        fields = {
+    lines = [
+        {
             "level": rep.level,
             "violations": rep.n_violating,
             "violation_fraction": rep.violation_fraction,
             "max_violation": rep.max_violation,
             "tolerance": rep.tolerance,
         }
-        print(_record(fields))
-    if cfg.out:
-        columns = ("level", "paths", "n_violating", "violation_fraction", "max_violation", "tolerance")
-        _write_table(cfg.out, {key: [getattr(rep, key) for rep in reports] for key in columns})
-    return 0
+        for rep in reports
+    ]
+    columns = ("level", "paths", "n_violating", "violation_fraction", "max_violation", "tolerance")
+    return lines, [(cfg.out, {key: [getattr(rep, key) for rep in reports] for key in columns}, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +339,18 @@ def main(argv=None) -> int:
         raw = apply_overrides(load_config(args.config), **{key: getattr(args, key) for key in OVERRIDES})
         workers = _resolve_workers(args.workers)
         cfg = resolve_config(raw)
-        if args.command in _RULES:
-            _RULES[args.command](cfg, args.command)
+        checked = _RULES[args.command](cfg, args.command)
         if args.dry_run:
             sys.stdout.write(format_resolved(raw))
             return 0
         # looked up at call time, so a wrapped entry of _COMMANDS is the one called
-        return _COMMANDS[args.command](cfg, workers)
+        lines, tables = _COMMANDS[args.command](cfg, workers, checked)
+        for path, columns, footer in tables:
+            if path is not None:
+                _write_table(path, columns, footer)
+        for fields in lines:
+            print(_record(fields))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

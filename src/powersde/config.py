@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -162,6 +163,11 @@ def _word(text, where):
 
 
 def _path(text, where):
+    """A file to write, in a directory that exists; empty for none."""
+    if text and os.path.isdir(text):
+        raise ConfigError(f"{where}: {text!r} is a directory")
+    if text and not os.path.isdir(os.path.dirname(text) or "."):
+        raise ConfigError(f"{where}: the directory of {text!r} does not exist")
     return text or None
 
 

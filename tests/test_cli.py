@@ -17,6 +17,7 @@ import pytest
 
 from powersde import cli, montecarlo
 from powersde.config import BUILTIN_COEFFICIENTS
+from powersde.criteria import predict_rate
 from powersde.models import CoefficientFn
 from powersde.montecarlo import comparison_check, estimate_inverse_moment, estimate_strong_error, timechange_check
 from powersde.schemes import EulerGrid
@@ -128,6 +129,18 @@ class TestPredict:
         assert run(["predict", "--config", cfg]) == 0
         line = capsys.readouterr().out.strip()
         assert line == "mu0=1 s=0 lambda_sup=0.5 provenance=cir-boundary-rate"
+
+    def test_the_rule_hands_its_prediction_on(self, tmp_path, monkeypatch, capsys):
+        """The rule's predict_rate call is the run's only one."""
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return predict_rate(params)
+
+        monkeypatch.setattr(cli, "predict_rate", counted)
+        assert run(["predict", "--config", write_ini(tmp_path, "")]) == 0
+        assert len(calls) == 1 and capsys.readouterr().out.startswith("mu0=1 ")
 
     def test_low_lambda_cir(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, "[model]\nlam = 0.25\n")
@@ -484,11 +497,12 @@ class TestPlumbing:
             (["predict"], "[model]\nlam = -1\n", 4),
             (["compare"], "[model]\nlam = 1.5\n[model_hi]\nlam = 0.5\n", 4),
             (["compare"], "[model]\nx0 = 2\n[model_hi]\nx0 = 1\n", 4),
+            (["feller", "--out", "no-such-directory/feller.csv"], "", 3),
         ],
         ids=[
             "converge-gap", "moments-no-q", "moments-ref-level-1", "predict-custom", "feller-custom",
             "ito-custom", "timechange-custom", "feller-affine-kappa", "ito-affine-kappa",
-            "predict-negative-lam", "compare-drift-order", "compare-x0-order",
+            "predict-negative-lam", "compare-drift-order", "compare-x0-order", "feller-out-missing-directory",
         ],
     )
     def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, capsys, argv, ini, code):
@@ -497,6 +511,29 @@ class TestPlumbing:
         refused = capsys.readouterr().err
         assert run(argv + ["--dry-run"]) == code
         assert capsys.readouterr() == ("", refused)
+
+    @pytest.mark.parametrize(
+        "key,name,why",
+        [("out", "missing/errors.csv", "the directory of {} does not exist"), ("plot", ".", "{} is a directory")],
+        ids=["out-in-a-missing-directory", "plot-a-directory"],
+    )
+    def test_an_output_path_that_cannot_be_written_exits_3_before_simulating(
+        self, tmp_path, monkeypatch, capsys, key, name, why
+    ):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the run simulated before refusing its output path")
+
+        path = str(tmp_path / name)
+        monkeypatch.setattr(cli, "estimate_strong_error", simulate)
+        assert run(["converge", "--config", write_ini(tmp_path, f"[output]\n{key} = {path}\n")]) == 3
+        assert capsys.readouterr() == ("", f"config error: [output] {key}: {why.format(repr(path))}\n")
+
+    def test_a_table_the_system_refuses_exits_3_with_no_line_printed(self, tmp_path, capsys):
+        # a name past the file system's limit passes config._path and fails at open
+        path = str(tmp_path / ("x" * 300 + ".csv"))
+        assert run(["feller", "--out", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: [output]: cannot write {path!r} (")
 
     @pytest.mark.parametrize("flag, env, where", [("0", None, "--workers"), (None, "-3", "HE_WORKERS")])
     def test_a_worker_count_below_one_exits_3(self, tmp_path, monkeypatch, capsys, flag, env, where):

@@ -228,8 +228,15 @@ def brownian_motion():
 
 
 class TestFeller:
-    @pytest.mark.parametrize("nu,expected", [(0.9, "exit-possible"), (1.1, "no-exit")])
+    @pytest.mark.parametrize(
+        "nu,expected",
+        [(nu, "exit-possible" if nu < 1.0 else "no-exit") for nu in (0.25, 0.5, 0.9, 1.1, 1.5, 2, 4, 8, 16, 20)],
+    )
     def test_cir_near_the_knife_edge(self, nu, expected):
+        """On a nu grid either side of nu = 1: 0 is reachable iff
+        nu = 2 kappa lam / theta^2 < 1 (Karlin and Taylor, A Second Course in
+        Stochastic Processes, ch. 15), and infinity never is.  From nu = 24
+        on, the probes stop inconclusive (ROADMAP item 10)."""
         model = autonomous_from_prototype(cir(lam=nu / 2.0))
         assert feller_test(model).conclusion == expected
 

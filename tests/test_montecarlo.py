@@ -15,7 +15,7 @@ from powersde.errors import HypothesisError, InvalidCoefficientError, Simulation
 from powersde.models import CoefficientFn, PrototypeParams, SdeModel, make_prototype
 from powersde.params import AffineParam, SinusoidalParam
 from powersde.schemes import EulerGrid, EulerSweep
-from powersde import montecarlo
+from powersde import criteria, montecarlo
 from powersde.montecarlo import (
     ComparisonReport,
     _endpoint_moments,
@@ -369,6 +369,22 @@ class TestTimeChangeCheck:
     def test_threshold_matches_significance(self, cir_params):
         rep = timechange_check(cir_params, 6, 500, 9, significance=0.05)
         assert rep.threshold == pytest.approx(1.959964, abs=1e-5)
+
+    # CIR with constant kappa = lam = 1 and x0 = 2: E X_T = lam + (x0 - lam) e^{-kappa T}
+    # on any clock, so each sample's mean has an exact target
+    SIN_CLOCK = PrototypeParams(kind="cir", kappa=1.0, lam=1.0, theta=SinusoidalParam(1.0, 0.5, 2 * math.pi), x0=2.0)
+
+    def test_both_samples_hold_the_exact_mean(self):
+        rep = timechange_check(self.SIN_CLOCK, 10, 20_000, 20260821, workers=2)
+        samples = ((rep.mean_original, rep.var_original), (rep.mean_changed, rep.var_changed))
+        z = [(mean - 1.0 - math.exp(-1.0)) / math.sqrt(var / 20_000) for mean, var in samples]
+        assert rep.dropped == 0 and max(map(abs, z)) <= 4.0
+
+    def test_a_changed_drift_not_divided_by_theta_squared_fails(self, monkeypatch):
+        # one worker: a warm forked worker would keep the unpatched function
+        monkeypatch.setattr(criteria, "_changed_drift", lambda k, l, th2, x: k * (l - x))
+        rep = timechange_check(self.SIN_CLOCK, 10, 20_000, 20260821, workers=1)
+        assert not rep.passed and min(abs(rep.z_mean), abs(rep.z_var)) > rep.threshold
 
     def test_a_zero_standard_error_passes_only_equal_statistics(self, cir_params):
         """With one path per sample both variances are 0, so both standard
@@ -733,6 +749,16 @@ def test_calls_in_one_process_reuse_the_pool_and_a_new_size_replaces_it(cir_mode
     three = _worker_pids()
     assert len(three) == 3 and not set(two) & set(three)
     assert not any(_alive(pid) for pid in two)
+
+
+def test_a_call_with_fewer_tasks_than_workers_reuses_the_pool(cir_model):
+    """The pool has the requested worker count, so 2-task and 3-task calls
+    at 3 workers all run on one pool."""
+    pools = []
+    for paths in (1024, 2048, 1024, 2048):
+        estimate_inverse_moment(cir_model, -1.0, 1.0, 6, paths, 7, workers=3)
+        pools.append(montecarlo._POOL[1])
+    assert all(pool is pools[0] for pool in pools)
 
 
 def test_a_bad_coefficient_leaves_the_pool_usable(cir_model, cir_params):

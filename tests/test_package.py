@@ -103,6 +103,21 @@ def test_no_module_but_models_branches_on_a_kind_name():
     assert found == []
 
 
+def test_no_subcommand_prints_or_writes():
+    """Each cmd_* returns its records and cli.main is their one writer."""
+    commands = [
+        node for node in ast.parse((SRC / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    found = [
+        f"{node.name}:{call.lineno} {call.func.id}"
+        for node in commands
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("print", "_write_table")
+    ]
+    assert len(commands) == len(cli._COMMANDS) and found == []
+
+
 def _fresh_python(script, cwd=None):
     """The stdout lines of script run by a fresh interpreter that imports
     this package's source."""
