@@ -80,6 +80,11 @@ def _record(fields: dict) -> str:
     return " ".join(f"{key}={_fmt(value)}" for key, value in fields.items())
 
 
+# what a subcommand returns: its stdout lines, and its (path, columns, footer) tables
+Table = tuple[Optional[str], dict, Optional[dict]]
+Records = tuple[list[dict], list[Table]]
+
+
 def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> None:
     """Write columns as a CSV headed by their names, then footer as a ``# key=value`` line.
 
@@ -89,10 +94,15 @@ def _write_table(path: str, columns: dict, footer: Optional[dict] = None) -> Non
     if footer is not None:
         lines.append("# " + _record(footer))
     try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:  # one config._path could not foresee, an unwritable directory say
+        fh = open(path, "w")
+    except OSError as exc:  # a path config._path could not foresee, in an unwritable directory say
         raise ConfigError(f"[output]: cannot write {path!r} ({exc.strerror or exc})")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError:  # a failure partway, a full disk say: leave no truncated table behind
+        os.remove(path)
+        raise
 
 
 def _resolve_workers(flag: Optional[str]) -> Optional[int]:
@@ -155,7 +165,7 @@ _RULES = {
 # subcommands: each returns (lines, tables) for main to write
 
 
-def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None):
+def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None) -> Records:
     """Strong error curve and fitted order."""
     report = estimate_strong_error(
         cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, derive_seed(cfg.seed, "converge"),
@@ -191,7 +201,7 @@ def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None):
     return [fit], [(cfg.out or "errors.csv", columns, fit), (cfg.plot, plot, None)]
 
 
-def cmd_predict(cfg: RunConfig, workers: Optional[int], pred: RatePrediction):
+def cmd_predict(cfg: RunConfig, workers: Optional[int], pred: RatePrediction) -> Records:
     """Boundary-drift rate prediction."""
     fields = {
         "mu0": pred.mu0,
@@ -205,7 +215,7 @@ def cmd_predict(cfg: RunConfig, workers: Optional[int], pred: RatePrediction):
     return [fields], []
 
 
-def cmd_moments(cfg: RunConfig, workers: Optional[int], checked: None):
+def cmd_moments(cfg: RunConfig, workers: Optional[int], checked: None) -> Records:
     """Inverse-moment divergence diagnostic."""
     est = estimate_inverse_moment(
         cfg.model,
@@ -231,7 +241,7 @@ def cmd_moments(cfg: RunConfig, workers: Optional[int], checked: None):
     return [fields], [(cfg.out or "moments.csv", columns, None)]
 
 
-def cmd_feller(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
+def cmd_feller(cfg: RunConfig, workers: Optional[int], model: AutonomousModel) -> Records:
     """Boundary classification (Feller test)."""
     result = feller_test(model)
     fields = {
@@ -250,7 +260,7 @@ def cmd_feller(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
     return [fields], [(cfg.out, columns, None)]
 
 
-def cmd_ito(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
+def cmd_ito(cfg: RunConfig, workers: Optional[int], model: AutonomousModel) -> Records:
     """Drift/curvature boundedness criterion."""
     report = ito_criterion(model)
     row = {key: getattr(report, key) for key in ("classification", "inf_estimate", "left_trend", "right_trend")}
@@ -260,7 +270,7 @@ def cmd_ito(cfg: RunConfig, workers: Optional[int], model: AutonomousModel):
     return [fields], [(cfg.out, {key: [value] for key, value in row.items()}, None)]
 
 
-def cmd_timechange(cfg: RunConfig, workers: Optional[int], prototype: PrototypeParams):
+def cmd_timechange(cfg: RunConfig, workers: Optional[int], prototype: PrototypeParams) -> Records:
     """Clock-change distribution check."""
     report = timechange_check(
         prototype,
@@ -283,7 +293,7 @@ def cmd_timechange(cfg: RunConfig, workers: Optional[int], prototype: PrototypeP
     return [fields], [(cfg.out, {key: [value] for key, value in row.items()}, None)]
 
 
-def cmd_compare(cfg: RunConfig, workers: Optional[int], model_hi: SdeModel):
+def cmd_compare(cfg: RunConfig, workers: Optional[int], model_hi: SdeModel) -> Records:
     """Pathwise ordering of two models."""
     reports = comparison_check(
         cfg.model, model_hi, cfg.horizon, cfg.levels, cfg.paths, derive_seed(cfg.seed, "compare"),

@@ -38,10 +38,9 @@ from the library and from the command line.
 
 Worker pool
 -----------
-A process has one pool, started by the first call with two or more workers
-and tasks.  It has as many workers as that call asked for, so every call
-that asks for as many reuses it, however few its tasks; its workers keep
-their Philox generators from call to call and only re-key them.  Tasks reach the workers
+A process has one pool, started by the first call that needs two or more
+workers and reused by calls of the same size; its workers keep their Philox
+generators from call to call and only re-key them.  Tasks reach the workers
 through pickle; a task that does not pickle runs serially (_run_batches).
 The package does not import scipy; the first path draw loads its normal map
 (brownian.sample_increment_batch), and the pool start loads it just before
@@ -148,14 +147,14 @@ def _call_pickled(blob: bytes, i: int):
 def _run_batches(task, n_tasks: int, workers: int):
     """Map task over task indices, merging nothing; order is preserved.
 
-    With more than one worker and more than one task, the task goes, pickled
-    once, to the process's pool of `workers` workers.  A task that does not
-    pickle (a model with a lambda coefficient, say) runs serially instead,
-    with a RuntimeWarning and the same results.
+    With more than one worker the task goes, pickled once, to the process's
+    pool.  A task that does not pickle (a model with a lambda coefficient,
+    say) runs serially instead, with a RuntimeWarning and the same results.
     Any exception while the pool maps, a worker that dies or a Ctrl-C say,
     terminates the pool; a task's own result never does.
     """
-    if min(workers, n_tasks) > 1:
+    workers = max(1, min(workers, n_tasks))
+    if workers > 1:
         try:
             blob = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:

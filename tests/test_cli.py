@@ -6,6 +6,7 @@ kept tiny; statistical quality is covered elsewhere.
 """
 
 import ast
+import errno
 import hashlib
 import os
 import subprocess
@@ -534,6 +535,27 @@ class TestPlumbing:
         assert run(["feller", "--out", path]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"config error: [output]: cannot write {path!r} (")
+
+    def test_a_write_that_fails_partway_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        class FullDisk:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = tmp_path / "f.csv"
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            run(["feller", "--out", str(path)])
+        assert not path.exists() and capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("flag, env, where", [("0", None, "--workers"), (None, "-3", "HE_WORKERS")])
     def test_a_worker_count_below_one_exits_3(self, tmp_path, monkeypatch, capsys, flag, env, where):

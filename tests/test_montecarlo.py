@@ -751,16 +751,6 @@ def test_calls_in_one_process_reuse_the_pool_and_a_new_size_replaces_it(cir_mode
     assert not any(_alive(pid) for pid in two)
 
 
-def test_a_call_with_fewer_tasks_than_workers_reuses_the_pool(cir_model):
-    """The pool has the requested worker count, so 2-task and 3-task calls
-    at 3 workers all run on one pool."""
-    pools = []
-    for paths in (1024, 2048, 1024, 2048):
-        estimate_inverse_moment(cir_model, -1.0, 1.0, 6, paths, 7, workers=3)
-        pools.append(montecarlo._POOL[1])
-    assert all(pool is pools[0] for pool in pools)
-
-
 def test_a_bad_coefficient_leaves_the_pool_usable(cir_model, cir_params):
     """A task that meets a NaN sigma hands the error back: the smallest-key
     one is raised, and the same workers then run the next call."""
