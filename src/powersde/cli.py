@@ -24,13 +24,15 @@ generated from the config's key table and parsed as INI text.  Exit codes:
 
 main checks a run on one path before anything runs: resolve_config applies
 the rules of every run, then _RULES those of its subcommand alone (the
-reference gap of converge, q and a ref_level of at least 2 for moments, a
-prototype model for predict and timechange, one with constant parameters
-for feller and ito, positive drift ratios for predict and the comparison
-hypotheses for compare).  --dry-run returns only after both, so it refuses
-what the run refuses before simulating, with the same message and exit code.
-Each rule hands its command what it checked: predict's rate prediction, the
-autonomous model of feller and ito, timechange's prototype, compare's hi model.
+reference gap of converge and a plot table apart from its error table, q
+and a ref_level of at least 2 for moments, a prototype model for predict and
+timechange, one with constant parameters for feller and ito, positive drift
+ratios for predict and the comparison hypotheses for compare).  --dry-run
+returns only after both, so it refuses what the run refuses before
+simulating, with the same message and exit code.
+Each rule hands its command what it checked: converge's error table path,
+predict's rate prediction, the autonomous model of feller and ito,
+timechange's prototype, compare's hi model.
 
 Randomness: each subcommand derives its generator key from the single
 ``seed`` by hashing a fixed label ("converge", "moments", "compare",
@@ -116,8 +118,12 @@ def _resolve_workers(flag: Optional[str]) -> Optional[int]:
 # each subcommand's own rules, beyond those resolve_config applies to every run
 
 
-def _gap_rule(cfg: RunConfig, command: str) -> None:
+def _converge_rules(cfg: RunConfig, command: str) -> str:
     _checked("[experiment] ref_level", _check_ref_gap, cfg.levels, cfg.ref_level)
+    out = cfg.out or "errors.csv"
+    if cfg.plot is not None and os.path.realpath(cfg.plot) == os.path.realpath(out):
+        raise ConfigError(f"[output] plot: {cfg.plot!r} names the same file as the error table {out!r}")
+    return out
 
 
 def _moment_rules(cfg: RunConfig, command: str) -> None:
@@ -151,7 +157,7 @@ def _autonomous(cfg: RunConfig, command: str) -> AutonomousModel:
 
 
 _RULES = {
-    "converge": _gap_rule,
+    "converge": _converge_rules,
     "predict": _rate_rules,
     "moments": _moment_rules,
     "feller": _autonomous,
@@ -165,7 +171,7 @@ _RULES = {
 # subcommands: each returns (lines, tables) for main to write
 
 
-def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None) -> Records:
+def cmd_converge(cfg: RunConfig, workers: Optional[int], out: str) -> Records:
     """Strong error curve and fitted order."""
     report = estimate_strong_error(
         cfg.model, cfg.horizon, cfg.levels, cfg.ref_level, cfg.paths, derive_seed(cfg.seed, "converge"),
@@ -198,7 +204,7 @@ def cmd_converge(cfg: RunConfig, workers: Optional[int], checked: None) -> Recor
     }
     kept = [i for i, err in enumerate(report.errors) if err > 0.0]
     plot = {"log2N": [levels[i] for i in kept], "log2err": [math.log2(report.errors[i]) for i in kept]}
-    return [fit], [(cfg.out or "errors.csv", columns, fit), (cfg.plot, plot, None)]
+    return [fit], [(out, columns, fit), (cfg.plot, plot, None)]
 
 
 def cmd_predict(cfg: RunConfig, workers: Optional[int], pred: RatePrediction) -> Records:

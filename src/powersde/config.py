@@ -35,16 +35,16 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .models import KINDS, CoefficientFn, PrototypeParams, SdeModel, _check_horizon, make_prototype
+from .models import KINDS, CoefficientFn, PrototypeParams, SdeModel, _check_horizon, _positive_part, make_prototype
 from .montecarlo import BLOCK_PATHS, _check
-from .params import AffineParam, ConstantParam, SinusoidalParam
+from .params import FAMILIES, ConstantParam
 from .schemes import _check_grid
 
 __all__ = [
@@ -78,7 +78,7 @@ def _neg_x(t, x):
 
 
 def _x_plus(t, x):
-    return np.maximum(x, 0.0) + 0.0 * np.asarray(t)
+    return _positive_part(x) + 0.0 * np.asarray(t)
 
 
 BUILTIN_COEFFICIENTS = {
@@ -94,31 +94,23 @@ BUILTIN_COEFFICIENTS = {
 # value parsers
 
 def parse_param_spec(text: str, where: str):
-    """A bare number, or one of const:v | affine:p,q | sin:p,q,omega, with
-    every number finite."""
+    """A bare number, or a params.FAMILIES spec const:v | affine:p,q | sin:p,q,omega, every number finite."""
     text = text.strip()
     try:
-        family, parts = "const", [float(text)]
+        family, parts = ConstantParam, [float(text)]
     except ValueError:
         if ":" not in text:
             raise ConfigError(f"{where}: cannot parse {text!r} as a parameter spec")
-        family, _, body = text.partition(":")
-        family = family.strip().lower()
+        name, _, body = text.partition(":")
+        family = FAMILIES.get(name.strip().lower())
         try:
             parts = [float(p) for p in body.split(",")]
         except ValueError:
             raise ConfigError(f"{where}: cannot parse {text!r}: non-numeric arguments")
     if not all(math.isfinite(p) for p in parts):
         raise ConfigError(f"{where}: {text!r} is not finite")
-    try:
-        if family in ("const", "constant") and len(parts) == 1:
-            return ConstantParam(parts[0])
-        if family == "affine" and len(parts) == 2:
-            return AffineParam(parts[0], parts[1])
-        if family in ("sin", "sinusoidal") and len(parts) == 3:
-            return SinusoidalParam(parts[0], parts[1], parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
+    if family is not None and len(parts) == len(fields(family)):
+        return family(*parts)
     raise ConfigError(
         f"{where}: unknown parameter spec {text!r} "
         "(expected a number, const:v, affine:p,q or sin:p,q,omega)"

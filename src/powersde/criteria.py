@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import HypothesisError
 from .models import (
-    KINDS, PrototypeParams, SdeModel, CoefficientFn, _check_gamma, _check_state, _theta_positive, clamped_power,
+    KINDS, PrototypeParams, SdeModel, CoefficientFn, _check_gamma, _check_state, _mean_reverting, _theta_positive,
+    clamped_power,
 )
 from .params import as_param
 from .quadrature import CumulativeTable, QuadratureError, adaptive_simpson, build_cumulative
@@ -121,8 +122,7 @@ def predict_rate(params: PrototypeParams) -> RatePrediction:
     for inward in spec.inward:
 
         def ratio(t):
-            th = theta(t)
-            return kappa(t) * inward(lam(t)) / (th * th)
+            return kappa(t) * inward(lam(t)) / _squared(theta, t)
 
         mus.append(_refined_min(ratio, params.horizon))
         if not mus[-1] > 0.0:
@@ -211,7 +211,7 @@ def autonomous_from_prototype(params: PrototypeParams) -> AutonomousModel:
     spec = KINDS[params.kind]
     sigma, sigma_prime, sigma_prime2 = spec.interior(params.scale(theta))
     return AutonomousModel(
-        a=lambda x: kap * (lam - x), sigma=sigma, sigma_prime=sigma_prime, sigma_prime2=sigma_prime2,
+        a=partial(_mean_reverting, kap, lam), sigma=sigma, sigma_prime=sigma_prime, sigma_prime2=sigma_prime2,
         gamma=params.gamma, domain=spec.domain, x0=params.x0,
     )
 
@@ -596,12 +596,11 @@ def time_changed_model(params: PrototypeParams, tc: TimeChange) -> SdeModel:
 
 def _changed_drift_time(tc, params, s):
     t = tc.A(float(s))
-    th = params.theta(t)
-    return params.kappa(t), params.lam(t), th * th
+    return params.kappa(t), params.lam(t), _squared(params.theta, t)
 
 
 def _changed_drift(k, l, th2, x):
-    return k * (l - x) / th2
+    return _mean_reverting(k, l, x) / th2
 
 
 def _shape_only(shape, s, x):

@@ -93,7 +93,8 @@ REF_GAP = 4
 Z_SIGNIFICANCE = 1e-3
 TASK_PATHS = 4096  # paths one task sweeps together, in whole blocks
 # Fine steps per time chunk.  At least 512, so the inverse-moment chunks at
-# ref_level - 2 hold 128 steps, the leaf size of numpy's pairwise sum.
+# ref_level - 2 hold 128 steps, the leaf size of numpy's pairwise sum, and a
+# power of two, so a chunk divides every lattice (_walk refuses one that does not).
 CHUNK_STEPS = 512
 # Steps of the inverse-moment integrand built at a time, so its temporaries
 # stay a small fraction of a chunk.
@@ -205,6 +206,8 @@ def _walk(streams: PathStreams, sweeps: list, width: int, chunk_steps: int):
     """
     levels = [sweep.grid.level for sweep in sweeps]
     chunk = min(streams.n_steps, max(chunk_steps, 1 << (levels[0] - min(levels))))
+    if streams.n_steps % chunk:  # a short last chunk would break _moment_simulate's power-of-two merge
+        raise ValueError(f"chunk_steps: a chunk of {chunk} steps does not divide the lattice's {streams.n_steps}")
     buf = np.empty((chunk, width))[:, : len(streams.generators)]
     for c in range(streams.n_steps // chunk):
         inc = sample_increment_batch(streams, chunk, out=buf)
@@ -504,13 +507,6 @@ class MomentEstimate:
         self.stderrs.setflags(write=False)
 
 
-def _sigma_rows(grid: EulerGrid, k0: int, x: np.ndarray):
-    """Base sigma at nodes k0 .. k0 + len(x) - 1 of grid, for the steps-major
-    states x, from the grid's table of time-only parts."""
-    rows = grid.sigma[k0 : k0 + len(x)]
-    return grid.model.base_sigma.fn(*(column[:, None] for column in rows.T), x)
-
-
 def _capped_row_sums(grid, k0, last, nodes, q, cap, hits, scratch, slab):
     """Each path's sum of the capped integrand over one chunk's steps.
 
@@ -530,7 +526,8 @@ def _capped_row_sums(grid, k0, last, nodes, q, cap, hits, scratch, slab):
         # our own array, since sigma may return its x (a view of the nodes)
         # or a scalar; contiguous, so numpy runs the loops a whole chunk took
         sig = slab.reshape(-1)[: (r1 - r0) * b].reshape(r1 - r0, b)
-        np.maximum(_sigma_rows(grid, k0 + r0, left), 0.0, out=sig)
+        # not clamped_power: the same value on every finite sigma, which is all a live path reaches here, but slower
+        np.maximum(grid.sigma_rows(k0 + r0, left), 0.0, out=sig)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             sig **= q
         over = ~(sig <= cap)

@@ -16,6 +16,7 @@ __all__ = [
     "ConstantParam",
     "AffineParam",
     "SinusoidalParam",
+    "FAMILIES",
     "as_param",
 ]
 
@@ -87,9 +88,19 @@ class SinusoidalParam:
         return (min(vals), max(vals))
 
 
+# each config spelling of a family, and its class; a spec's numbers are the class's fields, in order
+FAMILIES = {
+    "const": ConstantParam,
+    "constant": ConstantParam,
+    "affine": AffineParam,
+    "sin": SinusoidalParam,
+    "sinusoidal": SinusoidalParam,
+}
+
+
 def as_param(value):
     """Coerce a number into a ConstantParam; pass family members through."""
-    if isinstance(value, (ConstantParam, AffineParam, SinusoidalParam)):
+    if isinstance(value, tuple(FAMILIES.values())):
         return value
     if isinstance(value, (int, float)):
         return ConstantParam(float(value))

@@ -69,6 +69,10 @@ class EulerGrid:
         self.drift = model.drift.tabulate(times)
         self.sigma = model.base_sigma.tabulate(times)
 
+    def sigma_rows(self, k0: int, x: np.ndarray):
+        """Base sigma at nodes k0 .. k0 + len(x) - 1 for the steps-major states x, from the grid's table."""
+        return self.model.base_sigma.fn(*(column[:, None] for column in self.sigma[k0 : k0 + len(x)].T), x)
+
 
 class EulerSweep:
     """The state of one batched Euler run on a grid, between chunks.

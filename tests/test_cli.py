@@ -499,14 +499,17 @@ class TestPlumbing:
             (["compare"], "[model]\nlam = 1.5\n[model_hi]\nlam = 0.5\n", 4),
             (["compare"], "[model]\nx0 = 2\n[model_hi]\nx0 = 1\n", 4),
             (["feller", "--out", "no-such-directory/feller.csv"], "", 3),
+            (["converge", "--levels", "3:4", "--ref-level", "8", "--out", "same.csv"], "[output]\nplot = same.csv\n", 3),
         ],
         ids=[
             "converge-gap", "moments-no-q", "moments-ref-level-1", "predict-custom", "feller-custom",
             "ito-custom", "timechange-custom", "feller-affine-kappa", "ito-affine-kappa",
             "predict-negative-lam", "compare-drift-order", "compare-x0-order", "feller-out-missing-directory",
+            "converge-plot-is-out",
         ],
     )
-    def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, capsys, argv, ini, code):
+    def test_dry_run_refuses_what_the_run_refuses(self, tmp_path, monkeypatch, capsys, argv, ini, code):
+        monkeypatch.chdir(tmp_path)  # a run that is not refused writes its tables here
         argv = argv + ["--config", write_ini(tmp_path, ini)]
         assert run(argv) == code
         refused = capsys.readouterr().err
@@ -528,6 +531,23 @@ class TestPlumbing:
         monkeypatch.setattr(cli, "estimate_strong_error", simulate)
         assert run(["converge", "--config", write_ini(tmp_path, f"[output]\n{key} = {path}\n")]) == 3
         assert capsys.readouterr() == ("", f"config error: [output] {key}: {why.format(repr(path))}\n")
+
+    @pytest.mark.parametrize(
+        "argv,plot",
+        [(["--out", "same.csv"], "same.csv"), ([], "./errors.csv")],
+        ids=["out-named-twice", "the-default-out-spelled-otherwise"],
+    )
+    def test_a_plot_table_that_is_the_error_table_exits_3_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv, plot
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_ini(tmp_path, SMALL + f"\n[output]\nplot = {plot}\n")
+        assert run(["converge", "--config", cfg, *argv]) == 3
+        out = argv[1] if argv else "errors.csv"
+        assert capsys.readouterr() == (
+            "", f"config error: [output] plot: {plot!r} names the same file as the error table {out!r}\n"
+        )
+        assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_a_table_the_system_refuses_exits_3_with_no_line_printed(self, tmp_path, capsys):
         # a name past the file system's limit passes config._path and fails at open

@@ -308,6 +308,25 @@ class TestInverseMoment:
         with pytest.raises(ValueError):
             estimate_inverse_moment(cir_model, 0.5, 1.0, 8, 16, 0)
 
+    @pytest.mark.parametrize("nu", [2.0, 4.0])
+    def test_every_reference_level_holds_the_exact_cir_inverse_moment(self, nu):
+        """CIR with kappa = theta = x0 = 1 and lam = nu/2 is X_t = c chi'^2(delta, n) with
+        c = (1 - e^-t)/4, delta = 2 nu and n = e^-t / c, so after Kummer's transformation
+        E[1/X_t] = Gamma(nu - 1)/Gamma(nu) 1F1(1; nu; -n/2) / (2c)."""
+        from scipy.integrate import quad
+        from scipy.special import hyp1f1
+
+        def inverse_moment(t):
+            c = -math.expm1(-t) / 4.0
+            return math.gamma(nu - 1.0) / math.gamma(nu) * hyp1f1(1.0, nu, -math.exp(-t) / (2.0 * c)) / (2.0 * c)
+
+        exact, _ = quad(inverse_moment, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+        assert exact == pytest.approx({2.0: 1.5172756697, 4.0: 0.9102036017}[nu], abs=1e-9)
+        model = make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=nu / 2.0, theta=1.0, x0=1.0))
+        est = estimate_inverse_moment(model, -1.0, 1.0, 12, 10_000, derive_seed(20260821, "moments"), workers=2)
+        z = (est.estimates - exact) / est.stderrs
+        assert est.dropped == 0 and np.all(np.abs(z) <= 4.0)
+
 
 class TestComparison:
     def test_identical_models_never_violate(self, cir_model):
@@ -349,6 +368,27 @@ class TestComparison:
         assert coarse.level == 5
         assert coarse.n_violating == int((worst < -1e-6).sum()) > 0
         assert coarse.max_violation == max(0.0, -float(worst.min()))
+
+    def test_a_hi_model_driven_by_its_own_noise_is_flagged(self, monkeypatch):
+        """With the same noise the ordered pair never crosses at this size; with
+        the hi model's increments drawn afresh most of its paths do."""
+        lo, hi = (make_prototype(PrototypeParams(kind="cir", kappa=1.0, lam=lam, theta=1.0, x0=1.0)) for lam in (0.25, 2.0))
+
+        def fractions():
+            reports = comparison_check(lo, hi, 1.0, (8, 10), 1000, derive_seed(42, "compare"), workers=1)
+            return [rep.violation_fraction for rep in reports]
+
+        assert fractions() == [0.0, 0.0]
+        shared, own = montecarlo.euler_batch, np.random.default_rng(0)
+
+        def own_noise(sweep, increments):
+            if sweep.grid.model is hi:
+                increments = own.normal(0.0, math.sqrt(sweep.grid.dt), increments.shape)
+            return shared(sweep, increments)
+
+        # one worker: a warm forked worker would keep the unpatched kernel
+        monkeypatch.setattr(montecarlo, "euler_batch", own_noise)
+        assert min(fractions()) > 0.5
 
     def test_fraction_property(self):
         rep = ComparisonReport(level=5, paths=200, dropped=0, tolerance=1e-3, n_violating=3, max_violation=0.01)
@@ -430,6 +470,17 @@ def test_the_walk_runs_every_chunk_through_the_sweeps_in_plan_order(cir_model):
     for joined, h in zip(nodes, halvings):
         whole, _ = euler_run(cir_model, coarsen_increments(lattice, h), 1.0)
         np.testing.assert_array_equal(np.concatenate(joined).T, whole[:, 1:])
+
+
+def test_the_walk_refuses_a_chunk_that_does_not_divide_the_lattice(cir_model, monkeypatch):
+    """A 24-step chunk on a 32-step lattice would leave the last 8 steps unswept."""
+    sweeps = [EulerSweep(EulerGrid(cir_model, 1.0, 5), 5)]
+    walk = montecarlo._walk(PathStreams(3, 0, 5, 5, 1.0), sweeps, width=8, chunk_steps=24)
+    with pytest.raises(ValueError, match="^chunk_steps: a chunk of 24 steps does not divide the lattice's 32$"):
+        next(walk)
+    monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 768)
+    with pytest.raises(ValueError, match="a chunk of 768 steps does not divide the lattice's 1024"):
+        estimate_strong_error(cir_model, 1.0, (3, 4, 5), 10, 16, 7, workers=1)
 
 
 # three 512-path blocks, the last one partial

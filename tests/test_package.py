@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import powersde
-from powersde import cli, montecarlo, quadrature
+from powersde import cli, montecarlo, params, quadrature
 
 SRC = Path(powersde.__file__).resolve().parent
 
@@ -100,6 +100,34 @@ def test_no_module_but_models_branches_on_a_kind_name():
                 operands = [node.left, *node.comparators]
                 if any(map(_names_a_kind, operands)) and any(map(_is_text, operands)):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_but_models_and_schemes_reads_a_coefficients_function():
+    """A coefficient's calling convention (fn, fed by its time table) is
+    read by models, which declares it, and schemes, which steps with it."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("models.py", "schemes.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "fn"
+    ]
+    assert found == []
+
+
+def test_no_module_but_params_spells_a_parameter_family():
+    """params.FAMILIES holds each config spelling of a family once.  The test
+    is for the whole literal, so a docstring or message that names a spec
+    (const:v, say) passes."""
+    assert set(params.FAMILIES) == {"const", "constant", "affine", "sin", "sinusoidal"}
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "params.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in params.FAMILIES
+    ]
     assert found == []
 
 
